@@ -35,7 +35,6 @@ fn main() {
         "# Casper figure harness — scale: {} users, {} targets, {} queries/point\n",
         scale.users, scale.targets, scale.queries
     );
-    #[cfg(feature = "telemetry")]
     let mut snapshots: Vec<String> = Vec::new();
     for id in ids {
         match run(id, &scale) {
@@ -51,23 +50,19 @@ fn main() {
         }
         // Snapshot the (cumulative) registry after every figure so a
         // crash mid-run still leaves the trajectory up to that point.
-        #[cfg(feature = "telemetry")]
-        {
-            snapshots.push(format!(
-                "\"{id}\": {}",
-                casper_telemetry::registry().snapshot_json()
-            ));
-            let blob = format!(
-                "{{\"schema_version\": {}, {}}}\n",
-                casper_bench::SCHEMA_VERSION,
-                snapshots.join(", ")
-            );
-            if let Err(e) = std::fs::write("BENCH_telemetry.json", &blob) {
-                eprintln!("warning: could not write BENCH_telemetry.json: {e}");
-            }
+        snapshots.push(format!(
+            "\"{id}\": {}",
+            casper_telemetry::registry().snapshot_json()
+        ));
+        let blob = format!(
+            "{{\"schema_version\": {}, {}}}\n",
+            casper_bench::SCHEMA_VERSION,
+            snapshots.join(", ")
+        );
+        if let Err(e) = std::fs::write("BENCH_telemetry.json", &blob) {
+            eprintln!("warning: could not write BENCH_telemetry.json: {e}");
         }
     }
-    #[cfg(feature = "telemetry")]
     if !snapshots.is_empty() {
         eprintln!("telemetry snapshots written to BENCH_telemetry.json");
     }

@@ -277,17 +277,14 @@ fn main() {
     // Dump the cloaking audit log so the privacy auditor (CI, or
     // `--bin privacy_audit`) can prove post hoc that no shed mode ever
     // served a (k, A_min)-violating region.
-    #[cfg(feature = "telemetry")]
-    {
-        let audit = casper_telemetry::audit();
-        std::fs::write("AUDIT_overload.jsonl", audit.render_jsonl())
-            .expect("write AUDIT_overload.jsonl");
-        let report = casper_telemetry::PrivacyAuditor::audit(&audit.dump());
-        print!("{report}");
-        println!("wrote AUDIT_overload.jsonl ({} records)", audit.len());
-        assert!(
-            report.is_clean(),
-            "overload run served a privacy-violating region"
-        );
-    }
+    let audit = casper_telemetry::audit();
+    std::fs::write("AUDIT_overload.jsonl", audit.render_jsonl())
+        .expect("write AUDIT_overload.jsonl");
+    let report = casper_telemetry::PrivacyAuditor::audit(&audit.dump());
+    print!("{report}");
+    println!("wrote AUDIT_overload.jsonl ({} records)", audit.len());
+    assert!(
+        report.is_clean(),
+        "overload run served a privacy-violating region"
+    );
 }

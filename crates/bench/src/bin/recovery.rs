@@ -1,7 +1,7 @@
 //! Crash-recovery cost: time-to-recover vs checkpoint interval.
 //!
 //! ```text
-//! cargo run --release -p casper-bench --bin recovery --features durability
+//! cargo run --release -p casper-bench --bin recovery
 //! ```
 //!
 //! Runs the same 20k-op mixed workload (registrations + moves + profile

@@ -6,46 +6,26 @@
 //!
 //! Measures updates/sec and cloaks/sec of a
 //! [`ParallelEngine`]`<`[`ShardedAnonymizer`](casper_core::ShardedAnonymizer)`>`
-//! at 1, 2, 4 and 8 worker
-//! threads, in two modes:
+//! at 1, 2, 4 and 8 worker threads through the vectorized batch entry
+//! points: updates flush cloaked regions to the server plane in chunks,
+//! cloaks are grouped per home shard and walked in Morton order of the
+//! users' leaf cells. Scales with physical cores: on a single-core host
+//! the thread counts tie (recorded honestly so regressions on bigger
+//! hosts are still visible). Everything here is CPU-bound and
+//! in-process; latency and capacity over the real socket are
+//! `casper-loadgen`'s job.
 //!
-//! * **cpu_bound** — raw batch execution through the vectorized batch
-//!   entry points: updates flush cloaked regions to the server plane in
-//!   chunks, cloaks are grouped per home shard and walked in Morton
-//!   order of the users' leaf cells. Scales with physical cores: on a
-//!   single-core host the thread counts tie (recorded honestly so
-//!   regressions on bigger hosts are still visible).
-//! * **service** — each operation carries the device↔anonymizer round
-//!   trip of Section 6.3, realised as a per-op wait inside the worker
-//!   ([`ParallelEngine::with_client_rtt`]). This is the deployed shape
-//!   of the system — the anonymizer is a *service* answering mobile
-//!   clients — and the mode where per-shard parallelism pays: the pool
-//!   overlaps the waits, so throughput scales with worker count even on
-//!   one core.
-//!
-//! * **service_pipelined** — the same service shape over a *pipelined*
-//!   connection ([`ParallelEngine::with_pipeline_window`]): each worker
-//!   keeps `PIPELINE_WINDOW` requests in flight and pays one round trip
-//!   per full window instead of one per op, exactly as the network
-//!   plane's pipelined client does (`ClientConfig::pipeline_window`).
-//!   The CI-gated `service_pipelined.speedup_vs_window1_4_workers`
-//!   compares it at 4 workers against the lockstep (window = 1)
-//!   service figure at 4 workers — a property of amortising the RTT,
-//!   not of host core count.
-//!
-//! A third section isolates the batching win itself: single-thread
+//! A second section isolates the batching win itself: single-thread
 //! cloaks through the per-op path (one lock acquisition and one pyramid
 //! descent per user) against the same operations through
 //! [`ParallelEngine::cloak_batch`] (one lock per shard group, users
 //! walked in Morton order). The ratio is pure memory-layout and
 //! lock-amortisation gain — no extra cores involved.
 //!
-//! Results land in `BENCH_throughput.json` (schema v2); the top-level
-//! `speedup_4x_vs_1x` is the service-mode combined (updates + cloaks)
-//! throughput ratio. The CI-gated `cpu_bound.speedup_4x_vs_1x` compares
-//! the vectorized batch path at 4 workers against the same entry
-//! points at 4 workers with per-op region flushes
-//! ([`ParallelEngine::with_region_flush_chunk`]`(1)`) — the
+//! Results land in `BENCH_throughput.json` (schema v3). The CI-gated
+//! `cpu_bound.speedup_4x_vs_1x` compares the vectorized batch path at 4
+//! workers against the same entry points at 4 workers with per-op region
+//! flushes ([`ParallelEngine::with_region_flush_chunk`]`(1)`) — the
 //! pre-vectorization behaviour whose one-plane-write-per-mutation
 //! convoy flattened the old schema-v1 figure at 1.01x. Holding the
 //! worker count equal on both sides makes the ratio a property of the
@@ -56,30 +36,24 @@
 //! `cpu_bound.per_op_1_worker`.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use casper_core::engine::AnonymizerService;
+use casper_core::engine::{AnonymizerService, DEFAULT_REGION_FLUSH_CHUNK};
 use casper_core::{ParallelEngine, Request, Response};
 use casper_geometry::Point;
 use casper_grid::{Profile, UserId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const USERS: usize = 4_000;
-/// Ops per timed phase when no RTT is simulated. Large enough that the
-/// fastest phase (batched cloaks, >1M/s) still runs tens of ms.
+/// Ops per timed phase. Large enough that the fastest phase (batched
+/// cloaks, >1M/s) still runs tens of ms.
 const CPU_OPS: usize = 40_000;
-/// Ops per timed phase in service mode, where each op carries an RTT.
-const SERVICE_OPS: usize = 2_000;
 /// Ops for the 1-worker per-request (`submit`) reference sample, whose
 /// update path pays a full plane round-trip per op and runs well under
 /// 200k ops/s.
 const PER_OP_OPS: usize = 4_000;
 const GLOBAL_HEIGHT: u8 = 8;
 const SHARD_LEVEL: u8 = 2;
-const RTT_US: u64 = 200;
-/// In-flight frames per connection in the pipelined service mode —
-/// matches the CI matrix's `CASPER_PIPELINE_WINDOW=32` leg.
-const PIPELINE_WINDOW: usize = 32;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 struct Sample {
@@ -89,31 +63,11 @@ struct Sample {
     combined_per_sec: f64,
 }
 
-fn make_engine(threads: usize, rtt: Duration) -> ParallelEngine<casper_core::ShardedAnonymizer> {
-    make_engine_chunk(
-        threads,
-        rtt,
-        casper_core::engine::DEFAULT_REGION_FLUSH_CHUNK,
-    )
-}
-
-fn make_engine_chunk(
+fn make_engine(
     threads: usize,
-    rtt: Duration,
     flush_chunk: usize,
-) -> ParallelEngine<casper_core::ShardedAnonymizer> {
-    make_engine_full(threads, rtt, flush_chunk, 1)
-}
-
-fn make_engine_full(
-    threads: usize,
-    rtt: Duration,
-    flush_chunk: usize,
-    window: usize,
 ) -> ParallelEngine<casper_core::ShardedAnonymizer> {
     let engine = ParallelEngine::sharded(GLOBAL_HEIGHT, SHARD_LEVEL, threads)
-        .with_client_rtt(rtt)
-        .with_pipeline_window(window)
         .with_region_flush_chunk(flush_chunk);
     let mut rng = StdRng::seed_from_u64(7);
     let population: Vec<(UserId, Profile, Point)> = (0..USERS)
@@ -146,45 +100,13 @@ fn gen_uids(rng: &mut StdRng, n: usize) -> Vec<UserId> {
         .collect()
 }
 
-fn run_mode(threads: usize, rtt: Duration, ops: usize) -> Sample {
-    run_mode_chunk(
-        threads,
-        rtt,
-        ops,
-        casper_core::engine::DEFAULT_REGION_FLUSH_CHUNK,
-    )
-}
-
-/// One cpu_bound/service pass with an explicit region-flush chunk.
-/// `flush_chunk == 1` is the pre-vectorization behaviour — one cloak
-/// and one server-plane write per mutation — and serves as the
-/// baseline the vectorized path is gated against at equal worker
-/// counts.
-fn run_mode_chunk(threads: usize, rtt: Duration, ops: usize, flush_chunk: usize) -> Sample {
-    run_mode_full(threads, rtt, ops, flush_chunk, 1)
-}
-
-/// Service mode over a pipelined connection: each worker keeps
-/// `window` requests in flight, paying one RTT per full window
-/// (`window == 1` is the lockstep service mode).
-fn run_mode_window(threads: usize, rtt: Duration, ops: usize, window: usize) -> Sample {
-    run_mode_full(
-        threads,
-        rtt,
-        ops,
-        casper_core::engine::DEFAULT_REGION_FLUSH_CHUNK,
-        window,
-    )
-}
-
-fn run_mode_full(
-    threads: usize,
-    rtt: Duration,
-    ops: usize,
-    flush_chunk: usize,
-    window: usize,
-) -> Sample {
-    let engine = make_engine_full(threads, rtt, flush_chunk, window);
+/// One pass with an explicit region-flush chunk. `flush_chunk == 1` is
+/// the pre-vectorization behaviour — one cloak and one server-plane
+/// write per mutation — and serves as the baseline the vectorized path
+/// is gated against at equal worker counts.
+fn run_mode(threads: usize, flush_chunk: usize) -> Sample {
+    let ops = CPU_OPS;
+    let engine = make_engine(threads, flush_chunk);
     let mut rng = StdRng::seed_from_u64(11);
 
     // Warm-up: fault in shard tables and thread-pool state before the
@@ -220,7 +142,7 @@ fn run_mode_full(
 /// `cpu_bound.per_op_1_worker` for context alongside the gated
 /// vectorized-vs-chunk-1 ratio.
 fn run_per_op(ops: usize) -> Sample {
-    let engine = make_engine(1, Duration::ZERO);
+    let engine = make_engine(1, DEFAULT_REGION_FLUSH_CHUNK);
     let mut rng = StdRng::seed_from_u64(17);
 
     for (uid, pos) in gen_moves(&mut rng, ops / 10) {
@@ -256,7 +178,7 @@ fn run_per_op(ops: usize) -> Sample {
 /// lock-amortisation win, isolated from parallelism. Each path's rate
 /// is the best of three passes, for the same reason as [`best_of`].
 fn run_single_thread_batch() -> (f64, f64) {
-    let engine = make_engine(1, Duration::ZERO);
+    let engine = make_engine(1, DEFAULT_REGION_FLUSH_CHUNK);
     let mut rng = StdRng::seed_from_u64(13);
 
     // Warm-up both paths.
@@ -363,68 +285,28 @@ fn cpu_json(samples: &[Sample], per_op_flush: &Sample, per_op: &Sample) -> Strin
     out
 }
 
-/// The pipelined-service section. Its CI-gated
-/// `speedup_vs_window1_4_workers` divides the pipelined (window =
-/// `PIPELINE_WINDOW`) combined throughput at 4 workers by the lockstep
-/// service figure at the same worker count: both sides pay the same
-/// 200 µs RTT, the ratio is purely how well the window amortises it.
-fn pipelined_json(samples: &[Sample], service: &[Sample]) -> String {
-    let at4 = |ss: &[Sample]| {
-        ss.iter()
-            .find(|s| s.threads == 4)
-            .map(|s| s.combined_per_sec)
-            .unwrap_or(f64::NAN)
-    };
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "  \"service_pipelined\": {{\n    \"ops\": {SERVICE_OPS},\n    \"window\": {PIPELINE_WINDOW},\n    \
-         \"threads\": {{{}\n    }},\n    \"baseline\": \"service\",\n    \
-         \"speedup_4x_vs_1x\": {:.2},\n    \"speedup_vs_window1_4_workers\": {:.2}\n  }}",
-        threads_json(samples),
-        speedup_4x(samples),
-        at4(samples) / at4(service),
-    );
-    out
-}
-
-fn mode_json(name: &str, ops: usize, samples: &[Sample]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "  \"{name}\": {{\n    \"ops\": {ops},\n    \"threads\": {{{}\n    }},\n    \"speedup_4x_vs_1x\": {:.2}\n  }}",
-        threads_json(samples),
-        speedup_4x(samples)
-    );
-    out
-}
-
 fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!("=== concurrent request plane throughput ===");
-    println!(
-        "host cpus: {host_cpus}; users: {USERS}; cpu ops: {CPU_OPS}; service ops: {SERVICE_OPS}"
-    );
+    println!("host cpus: {host_cpus}; users: {USERS}; ops: {CPU_OPS}");
 
     let mut cpu_bound = Vec::new();
-    let mut service = Vec::new();
-    let mut pipelined = Vec::new();
     // The 4-worker sample and its chunk=1 baseline are measured
     // interleaved (one pass of each per rep, back to back) so both
     // sides of the CI-gated ratio face the same scheduling/steal
     // windows; their per-phase peaks then come from comparable
     // conditions instead of whichever side got the quieter minute.
-    let mut per_op_flush = run_mode_chunk(4, Duration::ZERO, CPU_OPS, 1);
+    let mut per_op_flush = run_mode(4, 1);
     for &threads in &THREADS {
         let c = if threads == 4 {
-            let mut best = run_mode(4, Duration::ZERO, CPU_OPS);
+            let mut best = run_mode(4, DEFAULT_REGION_FLUSH_CHUNK);
             for _ in 1..7 {
-                let p = run_mode_chunk(4, Duration::ZERO, CPU_OPS, 1);
+                let p = run_mode(4, 1);
                 per_op_flush.updates_per_sec = per_op_flush.updates_per_sec.max(p.updates_per_sec);
                 per_op_flush.cloaks_per_sec = per_op_flush.cloaks_per_sec.max(p.cloaks_per_sec);
-                let b = run_mode(4, Duration::ZERO, CPU_OPS);
+                let b = run_mode(4, DEFAULT_REGION_FLUSH_CHUNK);
                 best.updates_per_sec = best.updates_per_sec.max(b.updates_per_sec);
                 best.cloaks_per_sec = best.cloaks_per_sec.max(b.cloaks_per_sec);
             }
@@ -433,30 +315,13 @@ fn main() {
                 2.0 / (1.0 / per_op_flush.updates_per_sec + 1.0 / per_op_flush.cloaks_per_sec);
             best
         } else {
-            best_of(3, || run_mode(threads, Duration::ZERO, CPU_OPS))
+            best_of(3, || run_mode(threads, DEFAULT_REGION_FLUSH_CHUNK))
         };
         println!(
             "cpu_bound {threads} thread(s): {:8.0} updates/s  {:8.0} cloaks/s",
             c.updates_per_sec, c.cloaks_per_sec
         );
         cpu_bound.push(c);
-        let s = run_mode(threads, Duration::from_micros(RTT_US), SERVICE_OPS);
-        println!(
-            "service   {threads} thread(s): {:8.0} updates/s  {:8.0} cloaks/s",
-            s.updates_per_sec, s.cloaks_per_sec
-        );
-        service.push(s);
-        let p = run_mode_window(
-            threads,
-            Duration::from_micros(RTT_US),
-            SERVICE_OPS,
-            PIPELINE_WINDOW,
-        );
-        println!(
-            "pipelined {threads} thread(s): {:8.0} updates/s  {:8.0} cloaks/s (window {PIPELINE_WINDOW})",
-            p.updates_per_sec, p.cloaks_per_sec
-        );
-        pipelined.push(p);
     }
     println!(
         "per-op flush (chunk=1) 4 workers: {:8.0} updates/s  {:8.0} cloaks/s",
@@ -480,25 +345,11 @@ fn main() {
         .map(|s| s.combined_per_sec / per_op_flush.combined_per_sec)
         .unwrap_or(f64::NAN);
     println!("cpu-bound vectorized vs per-op flush, both at 4 workers: {cpu_headline:.2}x");
-    let headline = speedup_4x(&service);
-    println!("service-mode speedup at 4 threads vs 1: {headline:.2}x");
-    let at4 = |ss: &[Sample]| {
-        ss.iter()
-            .find(|s| s.threads == 4)
-            .map(|s| s.combined_per_sec)
-            .unwrap_or(f64::NAN)
-    };
-    println!(
-        "pipelined (window {PIPELINE_WINDOW}) vs lockstep service, both at 4 workers: {:.2}x",
-        at4(&pipelined) / at4(&service)
-    );
 
     let json = format!(
-        "{{\n  \"schema_version\": {},\n  \"bench\": \"throughput\",\n  \"engine\": \"ParallelEngine<ShardedAnonymizer>\",\n  \"host_cpus\": {host_cpus},\n  \"users\": {USERS},\n  \"global_height\": {GLOBAL_HEIGHT},\n  \"shard_level\": {SHARD_LEVEL},\n  \"rtt_us\": {RTT_US},\n{},\n{},\n{},\n  \"single_thread_batch\": {{\n    \"ops\": {CPU_OPS},\n    \"per_op_cloaks_per_sec\": {per_op:.1},\n    \"batch_cloaks_per_sec\": {batch:.1},\n    \"batch_over_per_op\": {batch_speedup:.2}\n  }},\n  \"speedup_4x_vs_1x\": {headline:.2}\n}}\n",
-        casper_bench::SCHEMA_VERSION_V2,
+        "{{\n  \"schema_version\": {},\n  \"bench\": \"throughput\",\n  \"engine\": \"ParallelEngine<ShardedAnonymizer>\",\n  \"host_cpus\": {host_cpus},\n  \"users\": {USERS},\n  \"global_height\": {GLOBAL_HEIGHT},\n  \"shard_level\": {SHARD_LEVEL},\n{},\n  \"single_thread_batch\": {{\n    \"ops\": {CPU_OPS},\n    \"per_op_cloaks_per_sec\": {per_op:.1},\n    \"batch_cloaks_per_sec\": {batch:.1},\n    \"batch_over_per_op\": {batch_speedup:.2}\n  }}\n}}\n",
+        casper_bench::SCHEMA_VERSION_V3,
         cpu_json(&cpu_bound, &per_op_flush, &per_op_sample),
-        mode_json("service", SERVICE_OPS, &service),
-        pipelined_json(&pipelined, &service),
     );
     std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
     println!("wrote BENCH_throughput.json");

@@ -3,7 +3,7 @@
 //! [`ScriptedLink`] is a loopback transport: it replays a scripted
 //! request sequence through the *exact* production machinery — the
 //! sans-IO [`PipelineMachine`] the reactor transport runs per
-//! connection, and [`process_frame`], the one execute path both
+//! connection, and `process_frame`, the one execute path both
 //! transports share — but with every byte boundary and every completion
 //! order drawn from a seeded generator instead of from scheduler and
 //! network timing. The same seed replays the same interleaving forever.
@@ -94,7 +94,8 @@ impl ScriptedLink {
         let mut pending: Vec<WorkItem> = Vec::new();
         let mut offset = 0usize;
         while offset < stream.len() || !pending.is_empty() {
-            let feed = offset < stream.len() && (pending.is_empty() || rng.next_u64().is_multiple_of(2));
+            let feed =
+                offset < stream.len() && (pending.is_empty() || rng.next_u64().is_multiple_of(2));
             if feed {
                 let chunk = self.chunk_len(&mut rng, stream.len() - offset);
                 machine

@@ -11,12 +11,12 @@
 //!
 //! * the user's **cloaked region** — a pure function of cell + profile,
 //!   so it changes exactly when the user crosses a pyramid cell; and
-//! * (with the `qp-cache` feature) the **version stamp** the monitor took
-//!   over its answer's dependency region against the server's public
-//!   cell-version table. A target upsert or removal inside the dependency
-//!   region invalidates the stamp, so the monitor re-evaluates instead of
-//!   serving a stale list — a correctness hole the region-only heuristic
-//!   has when targets move.
+//! * (while the server's candidate cache is enabled) the **version stamp**
+//!   the monitor took over its answer's dependency region against the
+//!   server's public cell-version table. A target upsert or removal inside
+//!   the dependency region invalidates the stamp, so the monitor
+//!   re-evaluates instead of serving a stale list — a correctness hole the
+//!   region-only heuristic has when targets move.
 //!
 //! Re-evaluation is **shared**: it goes through the server's candidate
 //! cache, so when many continuous queries cover the same cells (same
@@ -29,7 +29,6 @@
 //! at urban speeds).
 
 use casper_geometry::Rect;
-#[cfg(feature = "qp-cache")]
 use casper_grid::VersionStamp;
 use casper_grid::{PyramidStructure, UserId};
 use casper_index::Entry;
@@ -46,7 +45,6 @@ pub struct ContinuousNn {
     /// Version stamp over the last answer's dependency region; `None`
     /// until the first evaluation (or when the server cache is off, in
     /// which case reuse falls back to the region-only heuristic).
-    #[cfg(feature = "qp-cache")]
     stamp: Option<VersionStamp>,
     /// Server round trips performed.
     pub reevaluations: u64,
@@ -62,7 +60,6 @@ impl ContinuousNn {
             uid,
             last_region: None,
             candidates: Vec::new(),
-            #[cfg(feature = "qp-cache")]
             stamp: None,
             reevaluations: 0,
             reuses: 0,
@@ -95,15 +92,12 @@ pub struct ContinuousSet {
     monitors: Vec<ContinuousNn>,
     /// Degradation level governing the tick stride (see
     /// [`ContinuousSet::set_brownout_level`]).
-    #[cfg(feature = "overload")]
     level: crate::overload::BrownoutLevel,
     /// Rotating tick phase so striding spreads refreshes across ticks
     /// instead of starving a fixed subset of monitors.
-    #[cfg(feature = "overload")]
     phase: u64,
     /// Refreshes served from cached candidates because the brownout
     /// stride skipped the monitor this tick.
-    #[cfg(feature = "overload")]
     stale_serves: u64,
 }
 
@@ -145,7 +139,6 @@ impl ContinuousSet {
     }
 }
 
-#[cfg(feature = "overload")]
 impl ContinuousSet {
     /// Sets the degradation level for subsequent ticks. At
     /// [`BrownoutLevel::Normal`](crate::overload::BrownoutLevel) every
@@ -182,28 +175,23 @@ impl<P: PyramidStructure> Casper<P> {
 
     /// Refreshes a continuous query: returns the current exact nearest
     /// target (client-refined), re-contacting the server only when the
-    /// user's cloaked region changed since the last refresh — or, with
-    /// the `qp-cache` feature, when a public target inside the answer's
-    /// dependency region changed (version-stamp invalidation).
+    /// user's cloaked region changed since the last refresh — or, while
+    /// the candidate cache is enabled, when a public target inside the
+    /// answer's dependency region changed (version-stamp invalidation).
     pub fn refresh_continuous(&mut self, monitor: &mut ContinuousNn) -> Option<Entry> {
         let region = self.anonymizer().cloak_region_of(monitor.uid)?.rect;
         let region_unchanged =
             monitor.last_region == Some(region) && !monitor.candidates.is_empty();
-        #[cfg(feature = "qp-cache")]
         let stamp_valid = match (&monitor.stamp, self.server().public_versions()) {
             (Some(stamp), Some(versions)) => versions.validate(stamp),
             // No stamp or no version table (cache off): region-only
             // semantics, as before the cache existed.
             _ => true,
         };
-        #[cfg(not(feature = "qp-cache"))]
-        let stamp_valid = true;
         if region_unchanged && stamp_valid {
             monitor.reuses += 1;
-            #[cfg(all(feature = "telemetry", feature = "qp-cache"))]
             crate::tel::record_continuous("reuse");
         } else {
-            #[cfg(all(feature = "telemetry", feature = "qp-cache"))]
             crate::tel::record_continuous(if region_unchanged {
                 "stale"
             } else {
@@ -212,12 +200,9 @@ impl<P: PyramidStructure> Casper<P> {
             let filters = self.filter_count();
             let server = self.server();
             let (list, _) = server.nn_public(&region, filters);
-            #[cfg(feature = "qp-cache")]
-            {
-                // Stamp the dependency region under the same read guard
-                // so no mutation can slip between compute and stamp.
-                monitor.stamp = server.public_versions().map(|v| v.stamp(&list.dep));
-            }
+            // Stamp the dependency region under the same read guard so
+            // no mutation can slip between compute and stamp.
+            monitor.stamp = server.public_versions().map(|v| v.stamp(&list.dep));
             drop(server);
             monitor.candidates = list.candidates;
             monitor.last_region = Some(region);
@@ -237,19 +222,11 @@ impl<P: PyramidStructure> Casper<P> {
     /// cloaked region share one candidate computation per tick through
     /// the server's candidate cache.
     pub fn tick_continuous(&mut self, set: &mut ContinuousSet) -> Vec<(UserId, Option<Entry>)> {
-        #[cfg(feature = "overload")]
-        let stride = {
-            let stride = set.level.tick_stride() as u64;
-            set.phase = set.phase.wrapping_add(1);
-            stride
-        };
+        let stride = set.level.tick_stride() as u64;
+        set.phase = set.phase.wrapping_add(1);
         let mut answers = Vec::with_capacity(set.monitors.len());
-        // The index feeds the brownout stride below, which only exists
-        // with the `overload` feature; without it the index is unused.
-        #[allow(clippy::unused_enumerate_index)]
-        for (_i, monitor) in set.monitors.iter_mut().enumerate() {
-            #[cfg(feature = "overload")]
-            if stride > 1 && !(_i as u64).wrapping_add(set.phase).is_multiple_of(stride) {
+        for (i, monitor) in set.monitors.iter_mut().enumerate() {
+            if stride > 1 && !(i as u64).wrapping_add(set.phase).is_multiple_of(stride) {
                 // Brownout: skip the server round trip and re-refine the
                 // cached (k-anonymously produced) candidates against the
                 // exact position on the trusted tier. Staleness is
@@ -387,7 +364,6 @@ mod tests {
     /// With the cache on, a *target* mutation inside the answer's
     /// dependency region must force a re-evaluation even though the
     /// user never moved — the staleness hole the version stamp closes.
-    #[cfg(feature = "qp-cache")]
     #[test]
     fn target_churn_invalidates_stationary_monitor() {
         let mut c = city();
@@ -416,7 +392,6 @@ mod tests {
     /// Monitors sharing one cloaked region share one candidate
     /// computation per tick: every re-evaluation after the first is a
     /// cache hit.
-    #[cfg(feature = "qp-cache")]
     #[test]
     fn co_located_monitors_share_computation() {
         let mut c = city();

@@ -256,7 +256,6 @@ impl<A: AnonymizerService, S: Storage + ?Sized> DurableAnonymizer<A, S> {
             salvaged_older_checkpoint: salvaged,
             duration: started.elapsed(),
         };
-        #[cfg(feature = "telemetry")]
         crate::tel::recovery_done(&report);
 
         Ok((
@@ -378,7 +377,6 @@ impl<A: AnonymizerService, S: Storage + ?Sized> DurableAnonymizer<A, S> {
     /// Duplicates (seq already applied — sender resent after a reconnect)
     /// return `Ok` without re-applying; a gap (seq ahead of the local
     /// chain) is an error the sender answers by rewinding.
-    #[cfg(feature = "replication")]
     pub fn apply_replicated(&self, seq: u64, op: &WalOp) -> Result<u64, DurabilityError> {
         {
             let _gate = self.gate.read();
@@ -427,7 +425,6 @@ impl<A: AnonymizerService, S: Storage + ?Sized> DurableAnonymizer<A, S> {
         self.wal.rotate(new_wal, next_seq);
         self.ops_since_checkpoint.store(0, Ordering::Relaxed);
         self.retain(seq);
-        #[cfg(feature = "telemetry")]
         crate::tel::checkpoint_written(bytes.len() as u64);
         Ok(seq)
     }

@@ -400,14 +400,10 @@ impl<S: Storage + ?Sized> GroupWal<S> {
         // The group-commit wait — queueing behind the current flusher
         // plus the fsync itself — is where a traced request spends its
         // durability time, so it gets its own span on the requester.
-        #[cfg(feature = "telemetry")]
         let mut wal_span = crate::tel::span("wal_commit");
         let waited = self.wait_durable(my_seq);
-        #[cfg(feature = "telemetry")]
-        {
-            wal_span.set_outcome(if waited.is_ok() { "ok" } else { "error" });
-            drop(wal_span);
-        }
+        wal_span.set_outcome(if waited.is_ok() { "ok" } else { "error" });
+        drop(wal_span);
         waited?;
         Ok(my_seq)
     }
@@ -446,7 +442,6 @@ impl<S: Storage + ?Sized> GroupWal<S> {
             match result {
                 Ok(()) => {
                     state.durable_seq = state.durable_seq.max(batch_seq);
-                    #[cfg(feature = "telemetry")]
                     crate::tel::wal_flush(batch.len() as u64);
                 }
                 Err(_) => {

@@ -47,7 +47,7 @@ use casper_qp::{FilterCount, PrivateBoundMode, RangeAnswer};
 use crossbeam::channel;
 use parking_lot::{Mutex, RwLock};
 
-use crate::pipeline::{mint_trace_id, EndToEndAnswer, EndToEndBreakdown, QueryOutcome};
+use crate::pipeline::{EndToEndAnswer, EndToEndBreakdown, QueryOutcome};
 use crate::wire::Message;
 use crate::{CasperClient, CasperServer, Category, PrivateHandle, TransmissionModel};
 
@@ -441,7 +441,6 @@ impl ServerPlane {
     /// has already run out is answered [`Response::Overloaded`] without
     /// touching the server — the sender has stopped waiting, so doing
     /// the work would only burn capacity the live requests need.
-    #[cfg(feature = "overload")]
     pub fn execute_with_deadline(
         &self,
         req: Request,
@@ -575,13 +574,7 @@ impl ServerPlane {
             Request::AdminCount { area } => {
                 Response::Count(self.server.read().range_private(&area))
             }
-            Request::Metrics => {
-                #[cfg(feature = "telemetry")]
-                let page = casper_telemetry::registry().render();
-                #[cfg(not(feature = "telemetry"))]
-                let page = String::from("# casper built without the `telemetry` feature\n");
-                Response::MetricsPage(page)
-            }
+            Request::Metrics => Response::MetricsPage(casper_telemetry::registry().render()),
             Request::Replicate {
                 epoch,
                 commit_horizon,
@@ -908,53 +901,6 @@ impl Drop for WorkerPool {
 /// region flushes ([`ParallelEngine::with_region_flush_chunk`]).
 pub const DEFAULT_REGION_FLUSH_CHUNK: usize = 128;
 
-/// Amortises the modelled client round-trip over a pipeline window.
-///
-/// The lockstep service model pays one RTT per operation
-/// (`pause_rtt` after each apply). With a pipelined connection the
-/// client keeps `window` frames in flight and reads acks as they
-/// stream back, so a run of `n` operations costs `ceil(n / window)`
-/// round-trips. Each batch worker owns one pacer — a worker models one
-/// connection — ticking it per operation and draining it when its
-/// bucket ends so the final partial window still pays its RTT.
-#[derive(Debug)]
-struct RttPacer {
-    rtt: Duration,
-    window: usize,
-    pending: usize,
-}
-
-impl RttPacer {
-    fn new(rtt: Duration, window: usize) -> Self {
-        Self {
-            rtt,
-            window: window.max(1),
-            pending: 0,
-        }
-    }
-
-    /// Accounts one completed operation; sleeps one RTT whenever a full
-    /// window of operations has accumulated.
-    fn tick(&mut self) {
-        if self.rtt.is_zero() {
-            return;
-        }
-        self.pending += 1;
-        if self.pending >= self.window {
-            std::thread::sleep(self.rtt);
-            self.pending = 0;
-        }
-    }
-
-    /// Pays the RTT for a trailing partial window, if any.
-    fn drain(&mut self) {
-        if !self.rtt.is_zero() && self.pending > 0 {
-            std::thread::sleep(self.rtt);
-        }
-        self.pending = 0;
-    }
-}
-
 /// Everything a [`ParallelEngine`] request needs, shareable across the
 /// worker pool.
 #[derive(Debug)]
@@ -964,20 +910,6 @@ struct EngineShared<A: AnonymizerService> {
     client: CasperClient,
     transmission: TransmissionModel,
     filters: FilterCount,
-    /// When non-zero, batch workers park this long per operation after
-    /// applying it — modelling the device↔anonymizer exchange of
-    /// Section 6.3 (each update/cloak answer travels to a mobile client
-    /// and is acknowledged). The pool overlaps these waits, which is
-    /// exactly the service-capacity property the throughput bench
-    /// measures; `Duration::ZERO` (the default) disables the model.
-    client_rtt: Duration,
-    /// How many in-flight operations share one modelled round-trip in
-    /// the batch paths. `1` (the default) is the lockstep baseline: one
-    /// RTT per operation. Larger windows model the pipelined network
-    /// client ([`crate::net::ClientConfig::pipeline_window`]), where a
-    /// full window of frames is written before the first ack is read,
-    /// so a batch of `n` operations pays `ceil(n / window)` round-trips.
-    pipeline_window: usize,
     /// Mutations applied between server-plane region flushes in the
     /// batch paths. Bounds how stale a concurrent reader can observe
     /// the plane mid-batch while still amortising the plane's locks
@@ -989,7 +921,6 @@ struct EngineShared<A: AnonymizerService> {
     /// Overload-control state; `None` (the default) leaves the engine's
     /// legacy always-admit behaviour untouched. Installed by
     /// [`ParallelEngine::with_overload`].
-    #[cfg(feature = "overload")]
     overload: Option<Arc<crate::overload::OverloadState>>,
 }
 
@@ -1024,19 +955,6 @@ impl<A: AnonymizerService> EngineShared<A> {
         );
     }
 
-    fn pause_rtt(&self) {
-        if !self.client_rtt.is_zero() {
-            std::thread::sleep(self.client_rtt);
-        }
-    }
-
-    /// A fresh [`RttPacer`] over this engine's RTT model and pipeline
-    /// window. Each batch worker drives its own pacer (the window is
-    /// per connection, and each worker models one connection).
-    fn rtt_pacer(&self) -> RttPacer {
-        RttPacer::new(self.client_rtt, self.pipeline_window)
-    }
-
     /// The end-to-end query pipeline over the shared tiers: cloak →
     /// server plane → modelled transmission → local refinement.
     fn query(
@@ -1046,23 +964,19 @@ impl<A: AnonymizerService> EngineShared<A> {
         category: Option<Category>,
         private_data: bool,
     ) -> Option<QueryOutcome> {
-        let trace_id = mint_trace_id();
+        let trace_id = casper_telemetry::next_trace_id();
         // Workers that adopted a dispatch context attach this request as
         // a child span; bare submitters get their own trace root.
-        #[cfg(feature = "telemetry")]
         let _qspan = if crate::tel::span_current().is_some() {
             crate::tel::span("query")
         } else {
             crate::tel::span_root(trace_id, "query")
         };
         let t0 = Instant::now();
-        #[cfg(feature = "telemetry")]
         let cloak_span = crate::tel::span("cloak");
         let cloaked = self.anonymizer.cloak(uid);
-        #[cfg(feature = "telemetry")]
         drop(cloak_span);
         // The region below is released to the server tier: audit it.
-        #[cfg(feature = "telemetry")]
         audit_cloak_decision(self, uid, cloaked.as_ref(), true, "");
         let region = cloaked?.rect;
         let anonymizer_time = t0.elapsed();
@@ -1081,10 +995,8 @@ impl<A: AnonymizerService> EngineShared<A> {
                 category,
             }
         };
-        #[cfg(feature = "telemetry")]
         let qp_span = crate::tel::span("qp_execute");
         let plane_resp = self.plane.execute(req);
-        #[cfg(feature = "telemetry")]
         drop(qp_span);
         let Response::Candidates {
             entries,
@@ -1095,7 +1007,6 @@ impl<A: AnonymizerService> EngineShared<A> {
         };
         let query_time = processing.unwrap_or_default();
         let transmission = self.transmission.time_for_records(entries.len());
-        #[cfg(feature = "telemetry")]
         let refine_span = crate::tel::span("client_refine");
         let pos = self.anonymizer.position_of(uid)?;
         let exact = if private_data {
@@ -1103,15 +1014,11 @@ impl<A: AnonymizerService> EngineShared<A> {
         } else {
             self.client.refine_nn_entries(pos, &entries)
         };
-        #[cfg(feature = "telemetry")]
         drop(refine_span);
-        #[cfg(feature = "telemetry")]
-        {
-            crate::tel::record_stage(trace_id, "anonymizer", "ok", anonymizer_time);
-            crate::tel::record_stage(trace_id, "query", "ok", query_time);
-            crate::tel::record_stage(trace_id, "transmission", "ok", transmission);
-            crate::tel::record_answered();
-        }
+        crate::tel::record_stage(trace_id, "anonymizer", "ok", anonymizer_time);
+        crate::tel::record_stage(trace_id, "query", "ok", query_time);
+        crate::tel::record_stage(trace_id, "transmission", "ok", transmission);
+        crate::tel::record_answered();
         Some(QueryOutcome::Answered(EndToEndAnswer {
             exact,
             candidates: entries.len(),
@@ -1200,10 +1107,7 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
                 client: CasperClient::new(),
                 transmission: TransmissionModel::default(),
                 filters: FilterCount::Four,
-                client_rtt: Duration::ZERO,
-                pipeline_window: 1,
                 region_flush_chunk: DEFAULT_REGION_FLUSH_CHUNK,
-                #[cfg(feature = "overload")]
                 overload: None,
             }),
             pool: WorkerPool::new(threads),
@@ -1231,26 +1135,6 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
     /// Overrides the transmission model.
     pub fn with_transmission(mut self, model: TransmissionModel) -> Self {
         self.configure().transmission = model;
-        self
-    }
-
-    /// Enables the per-operation client round-trip model for batch
-    /// workers: each applied operation parks for `rtt`, simulating the
-    /// device↔anonymizer exchange, so worker threads overlap waits the
-    /// way a deployed service does. `Duration::ZERO` disables it.
-    pub fn with_client_rtt(mut self, rtt: Duration) -> Self {
-        self.configure().client_rtt = rtt;
-        self
-    }
-
-    /// Sets the modelled pipeline window for the RTT model (default 1,
-    /// the lockstep baseline): batch workers pay one round-trip per
-    /// `window` operations instead of one per operation, mirroring a
-    /// network client with [`crate::ClientConfig::pipeline_window`] set.
-    /// Values below 1 are clamped to 1. Has no effect unless
-    /// [`with_client_rtt`](Self::with_client_rtt) is also set.
-    pub fn with_pipeline_window(mut self, window: usize) -> Self {
-        self.configure().pipeline_window = window.max(1);
         self
     }
 
@@ -1348,13 +1232,7 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
             // Single partition: every uid lands in bucket 0 anyway, so
             // skip the hint pass and the cross-thread hop and cloak the
             // whole batch inline on the caller.
-            let regions = self.shared.anonymizer.cloak_many(uids);
-            let mut pacer = self.shared.rtt_pacer();
-            for _ in uids {
-                pacer.tick();
-            }
-            pacer.drain();
-            return regions;
+            return self.shared.anonymizer.cloak_many(uids);
         }
         let hints = self.shared.anonymizer.home_hints(uids);
         // Bucket input slots by home partition; each bucket remembers the
@@ -1378,11 +1256,6 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
             let tx = tx.clone();
             self.pool.run_on(w, move || {
                 let regions = shared.anonymizer.cloak_many(&bucket_uids);
-                let mut pacer = shared.rtt_pacer();
-                for _ in &bucket_uids {
-                    pacer.tick();
-                }
-                pacer.drain();
                 let _ = tx.send((slots, regions));
             });
         }
@@ -1439,13 +1312,11 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
                 let flush_chunk = shared.region_flush_chunk.max(1);
                 let mut applied = 0usize;
                 let mut dirty: Vec<UserId> = Vec::with_capacity(flush_chunk);
-                let mut pacer = shared.rtt_pacer();
                 for item in bucket {
                     let uid = op(&shared, item);
                     if dirty.last() != Some(&uid) {
                         dirty.push(uid);
                     }
-                    pacer.tick();
                     applied += 1;
                     if dirty.len() >= flush_chunk {
                         shared.flush_regions(&dirty);
@@ -1453,7 +1324,6 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
                     }
                 }
                 shared.flush_regions(&dirty);
-                pacer.drain();
                 let _ = tx.send(applied);
             });
         }
@@ -1463,12 +1333,10 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
 }
 
 /// Runtime control of the hosted server's candidate cache.
-#[cfg(feature = "qp-cache")]
 impl<A: AnonymizerService + 'static> ParallelEngine<A> {
     /// Enables or disables the server-tier candidate cache (on by
-    /// default when the `qp-cache` feature is compiled in). The cache
-    /// is internally sharded and safe under any number of concurrent
-    /// submitters.
+    /// default). The cache is internally sharded and safe under any
+    /// number of concurrent submitters.
     pub fn with_query_cache(self, enabled: bool) -> Self {
         self.shared.plane.write().set_query_cache_enabled(enabled);
         self
@@ -1490,13 +1358,11 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
 
 /// Overload control: admission gates, deadline propagation, brownout and
 /// the fail-private guard (§13 of DESIGN.md).
-#[cfg(feature = "overload")]
 impl<A: AnonymizerService + 'static> ParallelEngine<A> {
     /// Installs the overload-control subsystem: one admission gate per
     /// worker, CoDel shedding, brownout stepping, deadline enforcement
     /// and the fail-private guard. Without this call the engine keeps
-    /// its legacy always-admit behaviour even when the `overload`
-    /// feature is compiled in.
+    /// its always-admit behaviour.
     pub fn with_overload(mut self, cfg: crate::overload::OverloadConfig) -> Self {
         let slots = self.pool.threads();
         self.configure().overload = Some(Arc::new(crate::overload::OverloadState::new(cfg, slots)));
@@ -1633,11 +1499,10 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
         // One trace per classified request (unless the caller already
         // opened one): the admission sojourn, shard lock waits, pyramid
         // walk and qp execution on the worker all hang off this root.
-        #[cfg(feature = "telemetry")]
         let _root = if crate::tel::span_current().is_some() {
             crate::tel::span("request")
         } else {
-            crate::tel::span_root(mint_trace_id(), "request")
+            crate::tel::span_root(casper_telemetry::next_trace_id(), "request")
         };
         self.dispatch_classified(req, deadline, pri)
             .recv()
@@ -1671,7 +1536,6 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
         };
         if Self::brownout_disables(state.level(), &req) {
             let shed = state.shed(ShedReason::Brownout);
-            #[cfg(feature = "telemetry")]
             if let Some(uid) = cloaking_uid(&req) {
                 audit_cloak_decision(&self.shared, uid, None, false, shed.reason.label());
             }
@@ -1682,7 +1546,6 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
         }
         let slot = state.slot_of(Self::overload_key(&req));
         if let Err(shed) = state.admit(slot, pri, deadline) {
-            #[cfg(feature = "telemetry")]
             if let Some(uid) = cloaking_uid(&req) {
                 audit_cloak_decision(&self.shared, uid, None, false, shed.reason.label());
             }
@@ -1696,40 +1559,33 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
         // request's spans stay in one trace across the queue hop, and
         // remember when it was enqueued: the admission sojourn is over
         // before the worker has any context to open a live span in.
-        #[cfg(feature = "telemetry")]
         let parent_ctx = crate::tel::span_current();
-        #[cfg(feature = "telemetry")]
         let enqueued_ns = casper_telemetry::now_ns();
         let shared = Arc::clone(&self.shared);
         let state = Arc::clone(state);
         self.pool.run_on(slot, move || {
-            #[cfg(feature = "telemetry")]
             let _adopted = parent_ctx.map(crate::tel::span_adopt);
             let resp = match state.start(slot, enqueued, pri, deadline) {
                 Err(shed) => {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        if let Some(ctx) = parent_ctx {
-                            crate::tel::span_manual(
-                                ctx,
-                                "admission_sojourn",
-                                enqueued_ns,
-                                casper_telemetry::now_ns(),
-                                "shed",
-                                format!("slot={slot}"),
-                            );
-                            crate::tel::span_flag(ctx.trace_id);
-                        }
-                        if let Some(uid) = cloaking_uid(&req) {
-                            audit_cloak_decision(&shared, uid, None, false, shed.reason.label());
-                        }
+                    if let Some(ctx) = parent_ctx {
+                        crate::tel::span_manual(
+                            ctx,
+                            "admission_sojourn",
+                            enqueued_ns,
+                            casper_telemetry::now_ns(),
+                            "shed",
+                            format!("slot={slot}"),
+                        );
+                        crate::tel::span_flag(ctx.trace_id);
+                    }
+                    if let Some(uid) = cloaking_uid(&req) {
+                        audit_cloak_decision(&shared, uid, None, false, shed.reason.label());
                     }
                     Response::Overloaded {
                         retry_after: shed.retry_after,
                     }
                 }
                 Ok(()) => {
-                    #[cfg(feature = "telemetry")]
                     if let Some(ctx) = parent_ctx {
                         crate::tel::span_manual(
                             ctx,
@@ -1752,7 +1608,6 @@ impl<A: AnonymizerService + 'static> ParallelEngine<A> {
 
 /// The querying user behind a cloak-producing request, if any — the
 /// requests whose sheds the privacy audit plane documents.
-#[cfg(all(feature = "telemetry", feature = "overload"))]
 fn cloaking_uid(req: &Request) -> Option<UserId> {
     match *req {
         Request::Cloak { uid } | Request::QueryNn { uid, .. } | Request::QueryNnPrivate { uid } => {
@@ -1768,7 +1623,6 @@ fn cloaking_uid(req: &Request) -> Option<UserId> {
 /// [`casper_telemetry::PrivacyAuditor`] checks against each user's own
 /// `(k, A_min)` profile. Shed decisions (`served = false`) document
 /// fail-private refusals; a missing region is recorded at level 255.
-#[cfg(feature = "telemetry")]
 fn audit_cloak_decision<A: AnonymizerService>(
     shared: &EngineShared<A>,
     uid: UserId,
@@ -1780,10 +1634,7 @@ fn audit_cloak_decision<A: AnonymizerService>(
         return;
     };
     let trace_id = crate::tel::span_current().map_or(0, |c| c.trace_id);
-    #[cfg(feature = "overload")]
     let brownout = shared.overload.as_ref().map_or(0, |s| s.level().index());
-    #[cfg(not(feature = "overload"))]
-    let brownout = 0u8;
     let (k_achieved, area, level) = match region {
         Some(r) => (r.user_count, r.rect.area(), r.level),
         None => (0, 0.0, 255),
@@ -1808,7 +1659,6 @@ fn audit_cloak_decision<A: AnonymizerService>(
 /// [`Response::Overloaded`] shed instead of a weaker region. Privacy
 /// fails closed; availability is what gives. Both outcomes land in the
 /// audit log, so the post-hoc auditor can prove the vetoes happened.
-#[cfg(feature = "overload")]
 fn guard_fail_private<A: AnonymizerService>(
     shared: &EngineShared<A>,
     state: &crate::overload::OverloadState,
@@ -1819,14 +1669,12 @@ fn guard_fail_private<A: AnonymizerService>(
         if let Some(profile) = shared.anonymizer.profile_of(*uid) {
             if region.user_count < profile.k || region.rect.area() < profile.a_min {
                 let shed = state.note_fail_private();
-                #[cfg(feature = "telemetry")]
                 audit_cloak_decision(shared, *uid, Some(region), false, shed.reason.label());
                 return Response::Overloaded {
                     retry_after: shed.retry_after,
                 };
             }
         }
-        #[cfg(feature = "telemetry")]
         audit_cloak_decision(shared, *uid, Some(region), true, "");
     }
     resp
@@ -1841,11 +1689,7 @@ impl<A: AnonymizerService + 'static> Engine for ParallelEngine<A> {
     /// in the responses.
     fn execute_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
         let shared = Arc::clone(&self.shared);
-        self.pool.scatter(reqs, move |req| {
-            let resp = shared.apply(req);
-            shared.pause_rtt();
-            resp
-        })
+        self.pool.scatter(reqs, move |req| shared.apply(req))
     }
 }
 

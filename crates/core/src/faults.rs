@@ -13,9 +13,10 @@
 //! derives its injector seeds from `seed ^ connection index ^ direction`,
 //! which keeps connections independent but reproducible.
 //!
-//! Compiled behind the `faults` cargo feature (on by default) so the
-//! chaos paths stay built and exercised by the normal test suite, while
-//! `--no-default-features` builds can shed them.
+//! Compiled behind the `faults` cargo feature — the only feature this
+//! workspace has. On by default so the chaos paths stay built and
+//! exercised by the normal test suite; `--no-default-features` builds
+//! shed them.
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -24,7 +25,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::net::{parse_header, read_full, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+use crate::net::{
+    parse_header, read_full_classified, ReadOutcome, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+};
 use crate::retry::SplitMix64;
 
 /// Per-frame fault probabilities and the seed that makes them replayable.
@@ -219,10 +222,7 @@ struct TallyCells {
 impl TallyCells {
     fn note(cell: &AtomicU64, kind: &'static str) {
         cell.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_injected_fault(kind);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = kind;
     }
 
     fn snapshot(&self) -> FaultTally {
@@ -474,12 +474,13 @@ fn pump(
     };
     loop {
         let mut header = [0u8; FRAME_HEADER_LEN];
-        match read_full(&mut src, &mut header, stop) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => {
-                sever(&src, &dst);
-                return;
-            }
+        // Shutdown, EOF and errors all end the pair the same way.
+        if !matches!(
+            read_full_classified(&mut src, &mut header, stop),
+            Ok(ReadOutcome::Full)
+        ) {
+            sever(&src, &dst);
+            return;
         }
         let (len, _crc) = parse_header(&header);
         if len > MAX_FRAME_LEN {
@@ -492,12 +493,12 @@ fn pump(
             continue;
         }
         let mut payload = vec![0u8; len];
-        match read_full(&mut src, &mut payload, stop) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => {
-                sever(&src, &dst);
-                return;
-            }
+        if !matches!(
+            read_full_classified(&mut src, &mut payload, stop),
+            Ok(ReadOutcome::Full)
+        ) {
+            sever(&src, &dst);
+            return;
         }
         let (action, delay) = injector.next_action();
         match action {

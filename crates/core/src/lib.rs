@@ -37,32 +37,30 @@
 //!   [`ParallelEngine`] — the concurrent assembly that drives a
 //!   [`ShardedAnonymizer`] with per-shard parallelism and batch entry
 //!   points.
-//! * [`faults`] (feature `faults`, on by default) — a deterministic
+//! * [`faults`] (cargo feature `faults`, on by default — the only
+//!   feature; see DESIGN.md "Build configuration") — a deterministic
 //!   chaos proxy that drops/corrupts/truncates/delays frames to test the
 //!   above.
-//! * [`durability`] (feature `durability`, on by default) — crash safety
-//!   for the trusted tier: a group-committing write-ahead log, `CSPA`
-//!   checkpoints, torn-tail recovery with boot-epoch bumping, and a
-//!   fault-injecting storage for kill-loop testing.
-//! * [`StreamingAnonymizer`] — a concurrent ingestion front that absorbs
-//!   high-rate location-update streams on a worker thread.
-//! * [`overload`] (feature `overload`, on by default) — overload
-//!   control across the request plane: deadline propagation on every
-//!   hop, per-shard admission queues with CoDel shedding and priority
-//!   classes, per-connection circuit breakers, and a brownout ladder
-//!   whose hard invariant is **fail private, not fail open** — cloaking
-//!   never weakens `(k, A_min)` under load; work is shed instead.
-//! * [`replication`] (feature `replication`, on by default) — high
-//!   availability for the trusted tier: the primary streams its WAL to a
-//!   hot standby over the wire protocol, client acknowledgement is gated
-//!   on a configurable durability mode, and the standby promotes itself
-//!   (bumping the §8 boot epoch, fencing the old primary) when
-//!   heartbeats stop.
-//! * **Candidate caching** (feature `qp-cache`, on by default) — the
-//!   server tier memoises candidate lists keyed by cloaked region and
-//!   query shape, invalidated exactly through per-cell version counters
-//!   bumped on every object mutation; [`ContinuousSet`] builds shared
-//!   incremental continuous-query execution on top of it.
+//! * [`durability`] — crash safety for the trusted tier: a
+//!   group-committing write-ahead log, `CSPA` checkpoints, torn-tail
+//!   recovery with boot-epoch bumping, and a fault-injecting storage for
+//!   kill-loop testing.
+//! * [`overload`] — overload control across the request plane: deadline
+//!   propagation on every hop, per-shard admission queues with CoDel
+//!   shedding and priority classes, per-connection circuit breakers, and
+//!   a brownout ladder whose hard invariant is **fail private, not fail
+//!   open** — cloaking never weakens `(k, A_min)` under load; work is
+//!   shed instead.
+//! * [`replication`] — high availability for the trusted tier: the
+//!   primary streams its WAL to a hot standby over the wire protocol,
+//!   client acknowledgement is gated on a configurable durability mode,
+//!   and the standby promotes itself (bumping the §8 boot epoch, fencing
+//!   the old primary) when heartbeats stop.
+//! * **Candidate caching** — the server tier memoises candidate lists
+//!   keyed by cloaked region and query shape, invalidated exactly through
+//!   per-cell version counters bumped on every object mutation;
+//!   [`ContinuousSet`] builds shared incremental continuous-query
+//!   execution on top of it.
 
 #![warn(missing_docs)]
 
@@ -72,34 +70,27 @@ pub mod codec;
 pub mod conformance;
 mod continuous;
 mod cost;
-#[cfg(feature = "durability")]
 pub mod durability;
 pub mod engine;
 #[cfg(feature = "faults")]
 pub mod faults;
 pub mod net;
-#[cfg(feature = "overload")]
 pub mod overload;
 mod pipeline;
 mod policy;
 mod reactor;
-#[cfg(feature = "replication")]
 pub mod replication;
 pub mod retry;
 mod server;
 mod sharded;
 pub mod snapshot;
-mod streaming;
-#[cfg(feature = "telemetry")]
 mod tel;
 pub mod wire;
 
-#[cfg(feature = "qp-cache")]
 pub use casper_qp::cache::{CacheConfig, CacheStats};
 pub use client::CasperClient;
 pub use continuous::{ContinuousNn, ContinuousSet};
 pub use cost::TransmissionModel;
-#[cfg(feature = "durability")]
 pub use durability::{
     recover_sharded_engine, DirStorage, DurabilityConfig, DurabilityError, DurableAnonymizer,
     MemStorage, RecoveryReport, Storage,
@@ -108,18 +99,15 @@ pub use engine::{AnonymizerService, Engine, ParallelEngine, Request, Response, W
 pub use net::{
     ClientConfig, NetError, NetworkClient, NetworkServer, ServerConfig, Transport, MAX_FRAME_LEN,
 };
-#[cfg(feature = "overload")]
 pub use overload::{
     BreakerConfig, BreakerState, BrownoutConfig, BrownoutController, BrownoutLevel, CircuitBreaker,
     Deadline, OverloadConfig, OverloadStats, Priority, Shed, ShedReason,
 };
 pub use pipeline::{Casper, EndToEndAnswer, EndToEndBreakdown, QueryOutcome, RemoteCasper};
 pub use policy::FilterPolicy;
-#[cfg(feature = "replication")]
 pub use replication::{
     Committed, DurabilityMode, ReplicatedAnonymizer, ReplicationConfig, ReplicationError, Standby,
 };
 pub use retry::RetryPolicy;
 pub use server::{CasperServer, Category, PrivateHandle, QueryStats};
 pub use sharded::ShardedAnonymizer;
-pub use streaming::StreamingAnonymizer;

@@ -23,7 +23,7 @@
 //!
 //! The implementation is deliberately std-only: the workspace's
 //! dependency budget has no async runtime. The default transport is the
-//! event-driven reactor pool in [`crate::reactor`] — a few threads
+//! event-driven reactor pool in `crate::reactor` — a few threads
 //! multiplexing every connection over non-blocking sockets, with many
 //! pipelined frames in flight per connection, executed out of order on a
 //! shared pool and replied to in request order (see [`crate::codec`]).
@@ -47,7 +47,6 @@ use casper_geometry::Rect;
 use casper_qp::FilterCount;
 
 use crate::engine::{Request, Response, ServerPlane};
-#[cfg(feature = "overload")]
 use crate::overload::{BreakerConfig, CircuitBreaker};
 use crate::retry::{RetryPolicy, SplitMix64};
 use crate::wire::{decode, encode, encode_with_budget, Message, WireError};
@@ -201,7 +200,6 @@ pub struct ServerConfig {
     /// and `/flight`, e.g. `127.0.0.1:0` for an OS-assigned port).
     /// `None` (the default) starts no listener; the metrics page is still
     /// reachable over the wire protocol via [`Message::MetricsRequest`].
-    #[cfg(feature = "telemetry")]
     pub metrics_http: Option<SocketAddr>,
     /// Explicit boot id to echo in update acks instead of the minted
     /// time-based one. Crash-recovered deployments pass the durability
@@ -229,7 +227,6 @@ impl Default for ServerConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
             max_frame_len: MAX_FRAME_LEN,
             max_connections: MAX_CONNECTIONS,
-            #[cfg(feature = "telemetry")]
             metrics_http: None,
             boot_id: None,
             transport: Transport::Reactor,
@@ -321,7 +318,6 @@ pub(crate) struct ActiveGuard(Arc<StatsInner>);
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
         self.0.active.fetch_sub(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::net_server().active.add(-1);
     }
 }
@@ -338,7 +334,6 @@ pub struct NetworkServer {
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     reactor: Option<crate::reactor::ReactorPool>,
-    #[cfg(feature = "telemetry")]
     metrics_http: Option<casper_telemetry::MetricsHttp>,
 }
 
@@ -396,17 +391,14 @@ impl NetworkServer {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         stats2.accepted.fetch_add(1, Ordering::Relaxed);
-                        #[cfg(feature = "telemetry")]
                         crate::tel::net_server().accepted.inc();
                         if stats2.active.load(Ordering::Relaxed) >= config.max_connections as u64 {
                             stats2.rejected_connections.fetch_add(1, Ordering::Relaxed);
-                            #[cfg(feature = "telemetry")]
                             crate::tel::net_server().rejected_connections.inc();
                             drop(stream); // close immediately: over the cap
                             continue;
                         }
                         stats2.active.fetch_add(1, Ordering::Relaxed);
-                        #[cfg(feature = "telemetry")]
                         crate::tel::net_server().active.add(1);
                         let guard = ActiveGuard(Arc::clone(&stats2));
                         if let Some(reg) = registrar.as_mut() {
@@ -435,7 +427,6 @@ impl NetworkServer {
                                 config.max_frame_len,
                             ) {
                                 stats3.connection_errors.fetch_add(1, Ordering::Relaxed);
-                                #[cfg(feature = "telemetry")]
                                 crate::tel::net_server().connection_errors.inc();
                                 eprintln!("casper-net: closing connection {peer}: {e}");
                             }
@@ -451,7 +442,6 @@ impl NetworkServer {
         // The optional plain-HTTP scrape endpoint (`curl .../metrics`):
         // serves the process-wide registry and flight recorder, which this
         // server records into.
-        #[cfg(feature = "telemetry")]
         let metrics_http = match config.metrics_http {
             Some(bind) => Some(casper_telemetry::MetricsHttp::serve_telemetry(
                 bind,
@@ -466,7 +456,6 @@ impl NetworkServer {
             stop,
             accept_thread: Some(accept_thread),
             reactor,
-            #[cfg(feature = "telemetry")]
             metrics_http,
         })
     }
@@ -486,7 +475,6 @@ impl NetworkServer {
 
     /// The bound address of the HTTP metrics listener, when
     /// [`ServerConfig::metrics_http`] asked for one.
-    #[cfg(feature = "telemetry")]
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics_http.as_ref().map(|h| h.addr())
     }
@@ -516,7 +504,6 @@ impl NetworkServer {
     }
 
     fn stop_and_drain(&mut self) {
-        #[cfg(feature = "telemetry")]
         if let Some(http) = self.metrics_http.take() {
             http.shutdown();
         }
@@ -595,27 +582,6 @@ pub(crate) fn read_full_classified(
     Ok(ReadOutcome::Full)
 }
 
-/// [`read_full_classified`] with the pre-classification surface kept for
-/// the chaos proxy: `Ok(false)` on shutdown or a boundary EOF, an
-/// `UnexpectedEof` error on a mid-buffer EOF (the proxy severs the pair
-/// either way).
-pub(crate) fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<bool, NetError> {
-    match read_full_classified(stream, buf, stop)? {
-        ReadOutcome::Full => Ok(true),
-        ReadOutcome::Stopped
-        | ReadOutcome::Eof {
-            clean_boundary: true,
-        } => Ok(false),
-        ReadOutcome::Eof {
-            clean_boundary: false,
-        } => Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
-    }
-}
-
 /// Executes one checksum-verified request frame against the plane and
 /// returns the encoded reply payload, with all per-frame accounting.
 ///
@@ -632,12 +598,10 @@ pub(crate) fn process_frame(
     // The deadline budget rides the record padding; read it before the
     // buffer moves into the decoder. Always zero ("no deadline") for
     // peers that never stamp budgets.
-    #[cfg(feature = "overload")]
     let budget_ms = crate::wire::frame_budget(&frame);
     // The trace context rides the padding too: adopting it here links
     // this server-side span tree to the anonymizer's client span, so
     // one trace covers both processes.
-    #[cfg(feature = "telemetry")]
     let mut frame_span = match crate::wire::frame_trace(&frame) {
         Some(tc) if tc.trace_id != 0 => crate::tel::span_remote_root(
             casper_telemetry::SpanContext {
@@ -655,13 +619,11 @@ pub(crate) fn process_frame(
         Ok(msg) => msg,
         Err(e) => {
             stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::net_server().wire_errors.inc();
             return Err(e.into());
         }
     };
     stats.frames.fetch_add(1, Ordering::Relaxed);
-    #[cfg(feature = "telemetry")]
     crate::tel::net_server().frames.inc();
     // From here the connection is pure translation: wire message →
     // typed request → the one ServerPlane dispatch → wire reply.
@@ -669,7 +631,6 @@ pub(crate) fn process_frame(
         Ok(req) => req,
         Err(what) => {
             stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::net_server().protocol_errors.inc();
             return Err(NetError::Protocol(what));
         }
@@ -678,24 +639,18 @@ pub(crate) fn process_frame(
     // passed is answered `Overloaded` without touching the plane —
     // the answer would arrive dead anyway, and under a flash crowd
     // executing doomed work is exactly what melts the queue.
-    #[cfg(feature = "overload")]
     let resp = plane.execute_with_deadline(
         req,
         crate::overload::Deadline::from_budget_millis(budget_ms),
     );
-    #[cfg(not(feature = "overload"))]
-    let resp = plane.execute(req);
     if let Response::RegionAck { applied: false, .. } = resp {
         stats.stale_updates.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::net_server().stale_updates.inc();
     }
     if let Response::Overloaded { .. } = resp {
         stats.overloaded_replies.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::net_server().overloaded_replies.inc();
     }
-    #[cfg(feature = "telemetry")]
     frame_span.set_outcome(match &resp {
         Response::Overloaded { .. } => "shed",
         _ => "ok",
@@ -704,7 +659,6 @@ pub(crate) fn process_frame(
         Ok(reply) => reply,
         Err(what) => {
             stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::net_server().protocol_errors.inc();
             return Err(NetError::Protocol(what));
         }
@@ -716,7 +670,6 @@ pub(crate) fn process_frame(
 /// never a connection error (see [`NetStats::half_frame_disconnects`]).
 fn note_half_frame_disconnect(stats: &StatsInner) {
     stats.half_frame_disconnects.fetch_add(1, Ordering::Relaxed);
-    #[cfg(feature = "telemetry")]
     crate::tel::net_server().half_frame_disconnects.inc();
 }
 
@@ -757,7 +710,6 @@ fn serve_connection(
             // Checked before any allocation: a frame advertising 4 GiB
             // must not reserve 4 GiB.
             stats.oversize_frames.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::net_server().oversize_frames.inc();
             return Err(NetError::Protocol("frame length exceeds MAX_FRAME_LEN"));
         }
@@ -774,7 +726,6 @@ fn serve_connection(
         }
         if crc32(&frame) != crc {
             stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::net_server().checksum_failures.inc();
             return Err(NetError::Protocol("frame checksum mismatch"));
         }
@@ -807,7 +758,6 @@ pub struct ClientConfig {
     /// or `Overloaded` replies trip it open and subsequent operations
     /// fast-fail with [`NetError::Overloaded`] — no socket work, no
     /// timeout burned — until the cooldown admits a probe.
-    #[cfg(feature = "overload")]
     pub breaker: Option<BreakerConfig>,
     /// Frames kept in flight by [`NetworkClient::push_updates`]: up to
     /// this many cloaked updates are written before their acks are read,
@@ -828,7 +778,6 @@ impl Default for ClientConfig {
             retry: RetryPolicy::default(),
             jitter_seed: 0x00CA_5BE7,
             request_budget: None,
-            #[cfg(feature = "overload")]
             breaker: None,
             pipeline_window: 1,
         }
@@ -896,7 +845,6 @@ pub struct NetworkClient {
     /// Explicit deadline for the next operations, overriding the
     /// config-derived per-operation budget (see `set_deadline`).
     deadline: Option<Instant>,
-    #[cfg(feature = "overload")]
     breaker: Option<CircuitBreaker>,
     stats: ClientStats,
 }
@@ -929,7 +877,6 @@ impl NetworkClient {
             dirty: std::collections::BTreeSet::new(),
             server_boot: None,
             deadline: None,
-            #[cfg(feature = "overload")]
             breaker: config.breaker.map(CircuitBreaker::new),
             stats: ClientStats::default(),
         }
@@ -979,7 +926,6 @@ impl NetworkClient {
         if self.endpoints.len() > 1 {
             self.active = (self.active + 1) % self.endpoints.len();
             self.stats.failovers += 1;
-            #[cfg(feature = "telemetry")]
             crate::tel::record_client_failover();
         }
     }
@@ -993,7 +939,6 @@ impl NetworkClient {
     }
 
     /// The circuit breaker's current state, when one is configured.
-    #[cfg(feature = "overload")]
     pub fn breaker_state(&self) -> Option<crate::overload::BreakerState> {
         self.breaker.as_ref().map(|b| b.state())
     }
@@ -1049,7 +994,6 @@ impl NetworkClient {
         self.server_boot = Some(boot_id);
         if restarted {
             self.dirty.extend(self.last_known.keys().copied());
-            #[cfg(feature = "telemetry")]
             crate::tel::record_boot_change(self.dirty.len());
         }
         restarted
@@ -1068,7 +1012,6 @@ impl NetworkClient {
                 .ok();
             self.stream = Some(stream);
             self.stats.connects += 1;
-            #[cfg(feature = "telemetry")]
             crate::tel::record_client_connect();
         }
         self.flush_dirty()
@@ -1103,7 +1046,6 @@ impl NetworkClient {
                     self.note_boot(boot_id);
                     self.dirty.remove(&handle);
                     self.stats.replayed_regions += 1;
-                    #[cfg(feature = "telemetry")]
                     crate::tel::record_client_replay();
                 }
                 Ok(_) => {
@@ -1137,7 +1079,6 @@ impl NetworkClient {
         let payload = encode_with_budget(msg, budget_ms);
         // The calling thread's span context rides the same padding as the
         // budget, so the server can graft its spans onto this trace.
-        #[cfg(feature = "telemetry")]
         let payload = match crate::tel::span_current() {
             Some(ctx) => crate::wire::stamp_trace(
                 payload,
@@ -1172,17 +1113,15 @@ impl NetworkClient {
     ///
     /// Deadline-aware: retries stop with [`NetError::GaveUp`] as soon as
     /// the remaining budget cannot cover the backoff sleep plus another
-    /// attempt's worst-case timeouts. Breaker-aware (feature `overload`):
+    /// attempt's worst-case timeouts. Breaker-aware:
     /// an open breaker fast-fails without touching the socket, and an
     /// `Overloaded` reply from the server surfaces immediately as
     /// [`NetError::Overloaded`] — retrying into a shedding server only
     /// deepens its queues.
     fn round_trip(&mut self, msg: &Message) -> Result<Message, NetError> {
-        #[cfg(feature = "overload")]
         if let Some(b) = self.breaker.as_mut() {
             if let Err(retry_after) = b.check(Instant::now()) {
                 self.stats.breaker_fast_fails += 1;
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_breaker("fast_fail");
                 return Err(NetError::Overloaded { retry_after });
             }
@@ -1206,14 +1145,11 @@ impl NetworkClient {
             if attempt > 0 {
                 if attempt == 1 {
                     self.stats.retries += 1;
-                    #[cfg(feature = "telemetry")]
-                    {
-                        crate::tel::record_client_retry();
-                        // A retried request is interesting however fast it
-                        // ends: promote its trace for tail-keep.
-                        if let Some(ctx) = crate::tel::span_current() {
-                            crate::tel::span_flag(ctx.trace_id);
-                        }
+                    crate::tel::record_client_retry();
+                    // A retried request is interesting however fast it
+                    // ends: promote its trace for tail-keep.
+                    if let Some(ctx) = crate::tel::span_current() {
+                        crate::tel::span_flag(ctx.trace_id);
                     }
                 }
                 let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
@@ -1234,29 +1170,23 @@ impl NetworkClient {
             }
             // One span per attempt: a retried request shows every socket
             // round trip (and its outcome) in the trace, not just the sum.
-            #[cfg(feature = "telemetry")]
             let mut attempt_span = crate::tel::span("client_attempt");
-            #[cfg(feature = "telemetry")]
             if attempt_span.is_active() && attempt > 0 {
                 attempt_span.set_detail(format!("attempt={attempt}"));
             }
             let attempt_result = self.try_once(msg, deadline);
-            #[cfg(feature = "telemetry")]
-            {
-                attempt_span.set_outcome(match &attempt_result {
-                    Ok(Message::Overloaded { .. }) => "overloaded",
-                    Ok(_) => "ok",
-                    Err(_) => "error",
-                });
-                drop(attempt_span);
-            }
+            attempt_span.set_outcome(match &attempt_result {
+                Ok(Message::Overloaded { .. }) => "overloaded",
+                Ok(_) => "ok",
+                Err(_) => "error",
+            });
+            drop(attempt_span);
             match attempt_result {
                 Ok(Message::Overloaded { retry_after_ms }) => {
                     // An explicit shed is a *complete* answer: surface it
                     // without retrying, and let the breaker learn that the
                     // peer is saturated.
                     self.stats.overloaded_replies += 1;
-                    #[cfg(feature = "overload")]
                     if let Some(b) = self.breaker.as_mut() {
                         b.record_failure(Instant::now());
                     }
@@ -1269,17 +1199,14 @@ impl NetworkClient {
                     });
                 }
                 Ok(reply) => {
-                    #[cfg(feature = "overload")]
                     if let Some(b) = self.breaker.as_mut() {
                         b.record_success();
                     }
                     return Ok(reply);
                 }
                 Err(e) => {
-                    #[cfg(feature = "overload")]
                     if let Some(b) = self.breaker.as_mut() {
                         b.record_failure(Instant::now());
-                        #[cfg(feature = "telemetry")]
                         if b.state() == crate::overload::BreakerState::Open {
                             crate::tel::record_breaker("open");
                         }
@@ -1351,11 +1278,9 @@ impl NetworkClient {
             }
             return Ok(());
         }
-        #[cfg(feature = "overload")]
         if let Some(b) = self.breaker.as_mut() {
             if let Err(retry_after) = b.check(Instant::now()) {
                 self.stats.breaker_fast_fails += 1;
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_breaker("fast_fail");
                 return Err(NetError::Overloaded { retry_after });
             }
@@ -1395,12 +1320,9 @@ impl NetworkClient {
             if attempt > 0 {
                 if attempt == 1 {
                     self.stats.retries += 1;
-                    #[cfg(feature = "telemetry")]
-                    {
-                        crate::tel::record_client_retry();
-                        if let Some(ctx) = crate::tel::span_current() {
-                            crate::tel::span_flag(ctx.trace_id);
-                        }
+                    crate::tel::record_client_retry();
+                    if let Some(ctx) = crate::tel::span_current() {
+                        crate::tel::span_flag(ctx.trace_id);
                     }
                 }
                 let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
@@ -1424,7 +1346,6 @@ impl NetworkClient {
             acked += n;
             match outcome {
                 Ok(()) => {
-                    #[cfg(feature = "overload")]
                     if let Some(b) = self.breaker.as_mut() {
                         b.record_success();
                     }
@@ -1445,7 +1366,6 @@ impl NetworkClient {
                     // still in flight, and reusing the connection would
                     // pair them with the *next* batch's requests.
                     self.stats.overloaded_replies += 1;
-                    #[cfg(feature = "overload")]
                     if let Some(b) = self.breaker.as_mut() {
                         b.record_failure(Instant::now());
                     }
@@ -1454,10 +1374,8 @@ impl NetworkClient {
                     return Err(e);
                 }
                 Err(e) => {
-                    #[cfg(feature = "overload")]
                     if let Some(b) = self.breaker.as_mut() {
                         b.record_failure(Instant::now());
-                        #[cfg(feature = "telemetry")]
                         if b.state() == crate::overload::BreakerState::Open {
                             crate::tel::record_breaker("open");
                         }
@@ -1499,7 +1417,6 @@ impl NetworkClient {
             // Keep the window full before blocking on an ack.
             while sent < msgs.len() && sent - acked < window {
                 let payload = encode_with_budget(&msgs[sent], budget_ms);
-                #[cfg(feature = "telemetry")]
                 let payload = match crate::tel::span_current() {
                     Some(ctx) => crate::wire::stamp_trace(
                         payload,
@@ -1905,7 +1822,6 @@ mod tests {
         server.shutdown();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_page_served_over_wire_and_http() {
         let server = NetworkServer::spawn_with(

@@ -741,7 +741,6 @@ impl OverloadState {
     /// controller keeps stepping from here on subsequent polls.
     pub(crate) fn set_level(&self, level: BrownoutLevel) {
         self.level.store(level.index(), Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_brownout_level(level);
     }
 
@@ -764,7 +763,6 @@ impl OverloadState {
         let level = ctl.observe(Instant::now(), p99, frac);
         drop(ctl);
         self.level.store(level.index(), Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_brownout_level(level);
         level
     }
@@ -780,7 +778,6 @@ impl OverloadState {
             ShedReason::BreakerOpen => &self.shed_queue_full,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_shed(reason.label());
         let level = self.level();
         let scale = u32::from(level.index()) + 1;
@@ -831,7 +828,6 @@ impl OverloadState {
         let now = Instant::now();
         let sojourn = now.saturating_duration_since(enqueued);
         self.sojourns.observe(sojourn);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_sojourn(sojourn);
         {
             let mut codel = gate.codel.lock();
@@ -850,7 +846,6 @@ impl OverloadState {
             return Err(self.shed(ShedReason::DeadlineExpired));
         }
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_admitted();
         Ok(())
     }

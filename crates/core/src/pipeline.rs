@@ -58,29 +58,10 @@ pub struct EndToEndAnswer {
     pub candidates: usize,
     /// Component timing.
     pub breakdown: EndToEndBreakdown,
-    /// The trace id minted for this request at pipeline entry. With the
-    /// `telemetry` feature the per-stage spans of this request are
-    /// recorded in the flight recorder under this id.
+    /// The trace id minted for this request at pipeline entry; the
+    /// per-stage spans of this request are recorded in the flight
+    /// recorder under this id.
     pub trace_id: u64,
-}
-
-/// Mints a process-unique trace id for one end-to-end request.
-///
-/// Ids are minted even without the `telemetry` feature so a
-/// [`QueryOutcome::Degraded`] always carries one (logs stay correlatable
-/// across builds); with the feature they tie the request to its flight
-/// recorder entries.
-pub(crate) fn mint_trace_id() -> u64 {
-    #[cfg(feature = "telemetry")]
-    {
-        casper_telemetry::next_trace_id()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 /// Default bound on the [`RemoteCasper`] pending-update buffer.
@@ -99,9 +80,9 @@ pub enum QueryOutcome {
         pending_updates: usize,
         /// The transport error that exhausted the retry budget.
         error: NetError,
-        /// The trace id of the failed request — with the `telemetry`
-        /// feature, `casper_telemetry::flight().dump_trace(trace_id)`
-        /// reconstructs what the request went through before degrading.
+        /// The trace id of the failed request:
+        /// `casper_telemetry::flight().dump_trace(trace_id)` reconstructs
+        /// what the request went through before degrading.
         trace_id: u64,
         /// The server boot id most recently observed by the transport,
         /// `None` before any successful exchange. After a failover this
@@ -245,7 +226,6 @@ impl RemoteLink {
         let expired = before - self.pending.len();
         if expired > 0 {
             self.expired_updates += expired as u64;
-            #[cfg(feature = "telemetry")]
             for _ in 0..expired {
                 crate::tel::record_pending_expired();
             }
@@ -264,7 +244,6 @@ impl RemoteLink {
             if let Some((&evicted, _)) = self.pending.iter().next() {
                 self.pending.remove(&evicted);
                 self.dropped_updates += 1;
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_pending_drop();
             }
         }
@@ -277,11 +256,9 @@ impl RemoteLink {
             // replaced before it ever reached the server. Invisible in
             // `pending.len()`, so it gets its own counter.
             self.overwritten_updates += 1;
-            #[cfg(feature = "telemetry")]
             crate::tel::record_pending_overwrite();
         }
         self.pending_high_water = self.pending_high_water.max(self.pending.len());
-        #[cfg(feature = "telemetry")]
         crate::tel::record_pending_depth(self.pending.len());
         let _ = self.flush();
     }
@@ -313,7 +290,6 @@ impl RemoteLink {
                 }
                 Err(e) => Err(e),
             };
-            #[cfg(feature = "telemetry")]
             crate::tel::record_pending_depth(self.pending.len());
             return result;
         }
@@ -328,7 +304,6 @@ impl RemoteLink {
             self.pending.remove(&handle);
             flushed += 1;
         };
-        #[cfg(feature = "telemetry")]
         crate::tel::record_pending_depth(self.pending.len());
         result
     }
@@ -345,7 +320,6 @@ impl ServerLink for RemoteLink {
             }
             Request::RemoveRegion { handle } => {
                 self.pending.remove(&handle);
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_pending_depth(self.pending.len());
                 self.net.forget(PrivateHandle(handle));
                 Ok(Response::Done)
@@ -514,25 +488,20 @@ impl<P: PyramidStructure, L: ServerLink> PipelineCore<P, L> {
         category: Option<Category>,
         private_data: bool,
     ) -> Option<QueryOutcome> {
-        let trace_id = mint_trace_id();
+        let trace_id = casper_telemetry::next_trace_id();
         // The trace root: the cloak, link, and refinement children below —
         // and the server-side tree grafted on over the wire — all hang off
         // this span. Dropping it ends the trace and decides tail-keep.
-        #[cfg(feature = "telemetry")]
         let mut root = crate::tel::span_root(trace_id, "query");
         self.arm_deadline();
         let t0 = Instant::now();
-        #[cfg(feature = "telemetry")]
         let cloak_span = crate::tel::span("cloak");
         let query = self.anonymizer.cloak_query(uid)?;
-        #[cfg(feature = "telemetry")]
         drop(cloak_span);
         let anonymizer_time = t0.elapsed();
-        #[cfg(feature = "telemetry")]
         crate::tel::record_stage(trace_id, "anonymizer", "ok", anonymizer_time);
         // Audit plane: the served cloak decision, with the full trusted-side
         // metadata (achieved k, area, level) the wire-facing query hides.
-        #[cfg(feature = "telemetry")]
         if let (Some(profile), Some(region)) = (
             self.anonymizer.pyramid().profile_of(uid),
             self.anonymizer.cloak_region_of(uid),
@@ -567,14 +536,10 @@ impl<P: PyramidStructure, L: ServerLink> PipelineCore<P, L> {
             }
         };
         let t1 = Instant::now();
-        #[cfg(feature = "telemetry")]
         let mut link_span = crate::tel::span("server_link");
         let link_result = self.link.execute(req);
-        #[cfg(feature = "telemetry")]
-        {
-            link_span.set_outcome(if link_result.is_ok() { "ok" } else { "error" });
-            drop(link_span);
-        }
+        link_span.set_outcome(if link_result.is_ok() { "ok" } else { "error" });
+        drop(link_span);
         let (entries, processing) = match link_result {
             Ok(Response::Candidates {
                 entries,
@@ -586,16 +551,11 @@ impl<P: PyramidStructure, L: ServerLink> PipelineCore<P, L> {
             }
             Err(LinkFailure { stage, error }) => {
                 self.anonymizer.resolve(query.pseudonym);
-                #[cfg(feature = "telemetry")]
-                {
-                    root.set_outcome("degraded");
-                    // Degraded requests are always worth keeping.
-                    crate::tel::span_flag(trace_id);
-                    crate::tel::record_stage(trace_id, stage, "error", t1.elapsed());
-                    crate::tel::record_degraded(trace_id, self.link.pending(), &error.to_string());
-                }
-                #[cfg(not(feature = "telemetry"))]
-                let _ = stage;
+                root.set_outcome("degraded");
+                // Degraded requests are always worth keeping.
+                crate::tel::span_flag(trace_id);
+                crate::tel::record_stage(trace_id, stage, "error", t1.elapsed());
+                crate::tel::record_degraded(trace_id, self.link.pending(), &error.to_string());
                 // Read the boot id *after* the failed exchange: if the
                 // transport failed over mid-request (multi-endpoint
                 // client), any ack it saw from the promoted server has
@@ -613,7 +573,6 @@ impl<P: PyramidStructure, L: ServerLink> PipelineCore<P, L> {
         // real socket only the measured round trip is known.
         let query_time = processing.unwrap_or_else(|| t1.elapsed());
         let transmission = self.transmission.time_for_records(entries.len());
-        #[cfg(feature = "telemetry")]
         let refine_span = crate::tel::span("client_refine");
         let pos = self.anonymizer.pyramid().position_of(uid)?;
         let exact = if private_data {
@@ -621,15 +580,11 @@ impl<P: PyramidStructure, L: ServerLink> PipelineCore<P, L> {
         } else {
             self.client.refine_nn_entries(pos, &entries)
         };
-        #[cfg(feature = "telemetry")]
         drop(refine_span);
         self.anonymizer.resolve(query.pseudonym);
-        #[cfg(feature = "telemetry")]
-        {
-            crate::tel::record_stage(trace_id, "query", "ok", query_time);
-            crate::tel::record_stage(trace_id, "transmission", "ok", transmission);
-            crate::tel::record_answered();
-        }
+        crate::tel::record_stage(trace_id, "query", "ok", query_time);
+        crate::tel::record_stage(trace_id, "transmission", "ok", transmission);
+        crate::tel::record_answered();
         Some(QueryOutcome::Answered(EndToEndAnswer {
             exact,
             candidates: entries.len(),
@@ -771,10 +726,9 @@ impl<P: PyramidStructure> Casper<P> {
 }
 
 /// Runtime control of the hosted server's candidate cache.
-#[cfg(feature = "qp-cache")]
 impl<P: PyramidStructure> Casper<P> {
     /// Enables or disables the server-tier candidate cache (on by
-    /// default when the `qp-cache` feature is compiled in).
+    /// default).
     pub fn with_query_cache(self, enabled: bool) -> Self {
         self.core
             .link

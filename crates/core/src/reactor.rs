@@ -347,12 +347,10 @@ impl ReactorThread {
                 self.stats
                     .half_frame_disconnects
                     .fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 crate::tel::net_server().half_frame_disconnects.inc();
             }
             Close::Error(e) => {
                 self.stats.connection_errors.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 crate::tel::net_server().connection_errors.inc();
                 eprintln!("casper-net: closing connection {}: {e}", conn.peer);
             }
@@ -367,13 +365,11 @@ fn account_frame_error(stats: &StatsInner, e: FrameError) -> NetError {
     match e {
         FrameError::Oversize { .. } => {
             stats.oversize_frames.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::net_server().oversize_frames.inc();
             NetError::Protocol("frame length exceeds MAX_FRAME_LEN")
         }
         FrameError::ChecksumMismatch => {
             stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::net_server().checksum_failures.inc();
             NetError::Protocol("frame checksum mismatch")
         }

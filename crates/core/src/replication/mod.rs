@@ -332,7 +332,6 @@ where
         {
             let mut pending = self.shared.pending.lock();
             pending.insert(seq, op);
-            #[cfg(feature = "telemetry")]
             crate::tel::replication_lag(pending.len() as u64);
         }
         self.shared.work.notify_one();
@@ -538,7 +537,6 @@ where
                 received_seq,
                 durable_seq,
             }) => {
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_replication_ship(batch.len());
                 if epoch > durable.boot_epoch() {
                     // A higher epoch answered: a standby promoted over
@@ -546,7 +544,6 @@ where
                     // would fork history.
                     shared.fenced_by.store(epoch, Ordering::Release);
                     shared.acked.notify_all();
-                    #[cfg(feature = "telemetry")]
                     crate::tel::record_fenced();
                     return;
                 }
@@ -559,7 +556,6 @@ where
                 let mut pending = shared.pending.lock();
                 let keep = pending.split_off(&(durable_seq + 1));
                 *pending = keep;
-                #[cfg(feature = "telemetry")]
                 crate::tel::replication_lag(pending.len() as u64);
             }
             Ok(_) => {
@@ -758,7 +754,6 @@ where
             shared.promoted.store(true, Ordering::Release);
             plane.set_boot_id(epoch);
             plane.set_serving(true);
-            #[cfg(feature = "telemetry")]
             crate::tel::record_promotion(epoch);
         }
         Err(_) => {

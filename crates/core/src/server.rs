@@ -11,16 +11,12 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use casper_geometry::{Point, Rect};
-#[cfg(feature = "qp-cache")]
 use casper_grid::CellVersionTable;
 use casper_index::{Entry, ObjectId, RTree, SpatialIndex, UniformGrid};
-#[cfg(feature = "qp-cache")]
 use casper_qp::cache::{
     cached_full_scan, cached_nn_private, cached_nn_public, cached_range_over_private,
     cached_range_public, CacheConfig, CacheStats, CandidateCache,
 };
-#[cfg(not(feature = "qp-cache"))]
-use casper_qp::public_range_over_private;
 use casper_qp::{
     private_nn_private_data, private_nn_public_data, private_range_public_data, CandidateList,
     FilterCount, PrivateBoundMode, RangeAnswer,
@@ -64,11 +60,9 @@ pub struct CasperServer {
     private: UniformGrid,
     /// The candidate cache and its invalidation machinery; `None` when
     /// the cache is disabled at runtime (answers are recomputed).
-    #[cfg(feature = "qp-cache")]
     cache: Option<ServerCache>,
     /// Brownout knob: optional cap on candidate-list sizes (the
     /// nearest candidates are kept). `None` disables the cap.
-    #[cfg(feature = "overload")]
     candidate_cap: Option<usize>,
 }
 
@@ -76,7 +70,6 @@ pub struct CasperServer {
 /// query path, one cell-version table per store for exact lazy
 /// invalidation, and a last-known-MBR mirror per store so a mutation can
 /// bump the *old* location of a moving object as well as the new one.
-#[cfg(feature = "qp-cache")]
 #[derive(Debug)]
 struct ServerCache {
     cache: CandidateCache,
@@ -86,7 +79,6 @@ struct ServerCache {
     private_last: HashMap<ObjectId, Rect>,
 }
 
-#[cfg(feature = "qp-cache")]
 impl ServerCache {
     fn new(config: CacheConfig) -> Self {
         Self {
@@ -106,18 +98,15 @@ impl Default for CasperServer {
 }
 
 impl CasperServer {
-    /// Creates an empty server. With the `qp-cache` feature the
-    /// candidate cache is on by default; see
-    /// [`CasperServer::set_query_cache_enabled`].
+    /// Creates an empty server. The candidate cache is on by default;
+    /// see [`CasperServer::set_query_cache_enabled`].
     pub fn new() -> Self {
         Self {
             public: RTree::new(),
             by_category: HashMap::new(),
             target_category: HashMap::new(),
             private: UniformGrid::new(64),
-            #[cfg(feature = "qp-cache")]
             cache: Some(ServerCache::new(CacheConfig::default())),
-            #[cfg(feature = "overload")]
             candidate_cap: None,
         }
     }
@@ -125,7 +114,6 @@ impl CasperServer {
     /// Records a public-store mutation at `mbr`: the store has already
     /// been updated, so bumping *after* keeps readers from re-validating
     /// a stamp taken over the old contents.
-    #[cfg(feature = "qp-cache")]
     fn note_public_change(&mut self, id: ObjectId, mbr: Option<Rect>) {
         if let Some(c) = &mut self.cache {
             let old = match mbr {
@@ -143,7 +131,6 @@ impl CasperServer {
 
     /// Records a private-store mutation, mirroring
     /// [`CasperServer::note_public_change`].
-    #[cfg(feature = "qp-cache")]
     fn note_private_change(&mut self, id: ObjectId, mbr: Option<Rect>) {
         if let Some(c) = &mut self.cache {
             let old = match mbr {
@@ -165,13 +152,11 @@ impl CasperServer {
             .into_iter()
             .map(|(id, p)| Entry::point(id, p))
             .collect();
-        #[cfg(feature = "qp-cache")]
         if let Some(c) = &mut self.cache {
             c.public_last.clear();
             c.public_last.extend(entries.iter().map(|e| (e.id, e.mbr)));
         }
         self.public = RTree::bulk_load(entries);
-        #[cfg(feature = "qp-cache")]
         if let Some(c) = &mut self.cache {
             // A wholesale replacement invalidates everything cheaply.
             c.public_versions.bump_all();
@@ -183,7 +168,6 @@ impl CasperServer {
         self.remove_public_target(id);
         let entry = Entry::point(id, pos);
         self.public.insert(entry);
-        #[cfg(feature = "qp-cache")]
         self.note_public_change(id, Some(entry.mbr));
     }
 
@@ -194,7 +178,6 @@ impl CasperServer {
         self.public.insert(entry);
         self.by_category.entry(category).or_default().insert(entry);
         self.target_category.insert(id, category);
-        #[cfg(feature = "qp-cache")]
         self.note_public_change(id, Some(entry.mbr));
     }
 
@@ -206,7 +189,6 @@ impl CasperServer {
             }
         }
         let removed = self.public.remove(id);
-        #[cfg(feature = "qp-cache")]
         if removed {
             self.note_public_change(id, None);
         }
@@ -229,14 +211,12 @@ impl CasperServer {
         let id = ObjectId(handle.0);
         self.private.remove(id);
         self.private.insert(Entry::new(id, region));
-        #[cfg(feature = "qp-cache")]
         self.note_private_change(id, Some(region));
     }
 
     /// Drops a private handle (user signed off).
     pub fn remove_private_region(&mut self, handle: PrivateHandle) -> bool {
         let removed = self.private.remove(ObjectId(handle.0));
-        #[cfg(feature = "qp-cache")]
         if removed {
             self.note_private_change(ObjectId(handle.0), None);
         }
@@ -275,7 +255,6 @@ impl CasperServer {
         filters: FilterCount,
     ) -> (CandidateList, QueryStats) {
         let start = Instant::now();
-        #[cfg(feature = "qp-cache")]
         let list = match &self.cache {
             Some(c) => cached_nn_public(
                 &c.cache,
@@ -287,9 +266,6 @@ impl CasperServer {
             ),
             None => private_nn_public_data(&self.public, cloaked_query, filters),
         };
-        #[cfg(not(feature = "qp-cache"))]
-        let list = private_nn_public_data(&self.public, cloaked_query, filters);
-        #[cfg(feature = "overload")]
         let list = self.cap_candidates(list, cloaked_query);
         let processing = start.elapsed();
         let stats = QueryStats {
@@ -314,7 +290,6 @@ impl CasperServer {
             // public store, so the public version table invalidates
             // these entries exactly; the category id keeps the keys
             // distinct from unscoped queries (`extra` 0).
-            #[cfg(feature = "qp-cache")]
             Some(idx) => match &self.cache {
                 Some(c) => cached_nn_public(
                     &c.cache,
@@ -326,11 +301,8 @@ impl CasperServer {
                 ),
                 None => private_nn_public_data(idx, cloaked_query, filters),
             },
-            #[cfg(not(feature = "qp-cache"))]
-            Some(idx) => private_nn_public_data(idx, cloaked_query, filters),
             None => CandidateList::empty(cloaked_query),
         };
-        #[cfg(feature = "overload")]
         let list = self.cap_candidates(list, cloaked_query);
         let processing = start.elapsed();
         let stats = QueryStats {
@@ -348,7 +320,6 @@ impl CasperServer {
         mode: PrivateBoundMode,
     ) -> (CandidateList, QueryStats) {
         let start = Instant::now();
-        #[cfg(feature = "qp-cache")]
         let list = match &self.cache {
             Some(c) => cached_nn_private(
                 &c.cache,
@@ -361,9 +332,6 @@ impl CasperServer {
             ),
             None => private_nn_private_data(&self.private, cloaked_query, filters, mode, 0.0),
         };
-        #[cfg(not(feature = "qp-cache"))]
-        let list = private_nn_private_data(&self.private, cloaked_query, filters, mode, 0.0);
-        #[cfg(feature = "overload")]
         let list = self.cap_candidates(list, cloaked_query);
         let processing = start.elapsed();
         let stats = QueryStats {
@@ -375,29 +343,21 @@ impl CasperServer {
 
     /// Public (administrator) range query over the private store.
     pub fn range_private(&self, area: &Rect) -> RangeAnswer {
-        #[cfg(feature = "qp-cache")]
-        {
-            // Both runtime modes go through the canonical candidate-list
-            // representation so cached and fresh answers are
-            // bit-identical (the aggregate sums run in the same order).
-            let list = match &self.cache {
-                Some(c) => {
-                    cached_range_over_private(&c.cache, &c.private_versions, &self.private, area)
-                }
-                None => {
-                    CandidateList::from_parts(self.private.range(area), *area, Vec::new(), *area)
-                }
-            };
-            RangeAnswer::from_overlapping(list.candidates, area)
-        }
-        #[cfg(not(feature = "qp-cache"))]
-        public_range_over_private(&self.private, area)
+        // Both runtime modes go through the canonical candidate-list
+        // representation so cached and fresh answers are bit-identical
+        // (the aggregate sums run in the same order).
+        let list = match &self.cache {
+            Some(c) => {
+                cached_range_over_private(&c.cache, &c.private_versions, &self.private, area)
+            }
+            None => CandidateList::from_parts(self.private.range(area), *area, Vec::new(), *area),
+        };
+        RangeAnswer::from_overlapping(list.candidates, area)
     }
 
     /// Private range query ("targets within `radius` of me") over the
     /// public store.
     pub fn range_public(&self, cloaked_query: &Rect, radius: f64) -> CandidateList {
-        #[cfg(feature = "qp-cache")]
         let list = match &self.cache {
             Some(c) => cached_range_public(
                 &c.cache,
@@ -408,38 +368,28 @@ impl CasperServer {
             ),
             None => private_range_public_data(&self.public, cloaked_query, radius),
         };
-        #[cfg(not(feature = "qp-cache"))]
-        let list = private_range_public_data(&self.public, cloaked_query, radius);
-        #[cfg(feature = "overload")]
-        let list = self.cap_candidates(list, cloaked_query);
-        list
+        self.cap_candidates(list, cloaked_query)
     }
 
     /// Builds the expected-count density surface over the private store
     /// (the administrator's anonymous heat map).
     pub fn density(&self, resolution: usize) -> casper_qp::DensityGrid {
-        #[cfg(feature = "qp-cache")]
-        {
-            // One cached full scan feeds every resolution: the binning
-            // is cheap, the scan is what the cache saves. The canonical
-            // order also makes the float accumulation deterministic
-            // across cache-on and cache-off runs.
-            let list = match &self.cache {
-                Some(c) => cached_full_scan(&c.cache, &c.private_versions, &self.private, 0),
-                None => {
-                    let unit = Rect::unit();
-                    CandidateList::from_parts(self.private.range(&unit), unit, Vec::new(), unit)
-                }
-            };
-            casper_qp::DensityGrid::from_regions(list.candidates, resolution)
-        }
-        #[cfg(not(feature = "qp-cache"))]
-        casper_qp::DensityGrid::build(&self.private, resolution)
+        // One cached full scan feeds every resolution: the binning is
+        // cheap, the scan is what the cache saves. The canonical order
+        // also makes the float accumulation deterministic across
+        // cache-on and cache-off runs.
+        let list = match &self.cache {
+            Some(c) => cached_full_scan(&c.cache, &c.private_versions, &self.private, 0),
+            None => {
+                let unit = Rect::unit();
+                CandidateList::from_parts(self.private.range(&unit), unit, Vec::new(), unit)
+            }
+        };
+        casper_qp::DensityGrid::from_regions(list.candidates, resolution)
     }
 }
 
-/// Brownout knobs (compiled with the `overload` feature, on by default).
-#[cfg(feature = "overload")]
+/// Brownout knobs.
 impl CasperServer {
     /// Caps candidate lists at `cap` entries, keeping the candidates
     /// nearest the cloaked query region. Candidate count drives the
@@ -473,9 +423,7 @@ impl CasperServer {
     }
 }
 
-/// Runtime control of the server-tier candidate cache (compiled with the
-/// `qp-cache` feature, on by default).
-#[cfg(feature = "qp-cache")]
+/// Runtime control of the server-tier candidate cache.
 impl CasperServer {
     /// Replaces the cache with a fresh one under `config` (and enables
     /// it if it was off).

@@ -244,7 +244,6 @@ impl ShardedAnonymizer {
     }
 
     /// Refreshes the telemetry gauges for one shard after a mutation.
-    #[cfg(feature = "telemetry")]
     fn tel_shard(&self, idx: usize) {
         crate::tel::record_shard_state(
             idx,
@@ -343,7 +342,6 @@ impl ShardedAnonymizer {
         let stats = self.shards[idx as usize].write().register(uid, lp, local);
         self.populations[idx as usize].fetch_add(1, Ordering::AcqRel);
         self.homes.insert(uid, (idx, profile));
-        #[cfg(feature = "telemetry")]
         self.tel_shard(idx as usize);
         stats
     }
@@ -387,11 +385,8 @@ impl ShardedAnonymizer {
         stats += self.shards[idx as usize].write().register(uid, lp, local);
         self.populations[idx as usize].fetch_add(1, Ordering::AcqRel);
         self.homes.insert(uid, (idx, profile));
-        #[cfg(feature = "telemetry")]
-        {
-            self.tel_shard(home as usize);
-            self.tel_shard(idx as usize);
-        }
+        self.tel_shard(home as usize);
+        self.tel_shard(idx as usize);
         stats
     }
 
@@ -403,11 +398,9 @@ impl ShardedAnonymizer {
             // k-anonymous.
             parked.pop_front();
             self.dropped_parked.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             crate::tel::record_parked_drop();
         }
         parked.push_back((uid, pos));
-        #[cfg(feature = "telemetry")]
         crate::tel::record_parked(parked.len());
     }
 
@@ -415,7 +408,6 @@ impl ShardedAnonymizer {
     /// via coordinator escalation; updates touching it are parked.
     pub fn quarantine_shard(&self, idx: usize) {
         self.offline[idx].store(true, Ordering::Release);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_shard_transition(
             idx,
             self.populations[idx].load(Ordering::Relaxed) as usize,
@@ -428,7 +420,6 @@ impl ShardedAnonymizer {
     /// how many parked updates were applied.
     pub fn restore_shard(&self, idx: usize) -> usize {
         self.offline[idx].store(false, Ordering::Release);
-        #[cfg(feature = "telemetry")]
         crate::tel::record_shard_transition(
             idx,
             self.populations[idx].load(Ordering::Relaxed) as usize,
@@ -443,7 +434,6 @@ impl ShardedAnonymizer {
             self.update_location(uid, pos);
         }
         let still_parked = self.parked.lock().len();
-        #[cfg(feature = "telemetry")]
         crate::tel::record_parked(still_parked);
         before - still_parked
     }
@@ -481,7 +471,6 @@ impl ShardedAnonymizer {
         };
         let stats = self.shards[home as usize].write().deregister(uid);
         self.populations[home as usize].fetch_sub(1, Ordering::AcqRel);
-        #[cfg(feature = "telemetry")]
         self.tel_shard(home as usize);
         stats
     }
@@ -519,18 +508,13 @@ impl ShardedAnonymizer {
                 self.stall(home as usize);
                 // The shard-lock acquisition and the pyramid walk are the
                 // two hot-path waits worth seeing separately in a trace.
-                #[cfg(feature = "telemetry")]
                 let shard = crate::tel::with_lock_wait_span(home as usize, || {
                     self.shards[home as usize].read()
                 });
-                #[cfg(not(feature = "telemetry"))]
-                let shard = self.shards[home as usize].read();
-                #[cfg(feature = "telemetry")]
                 let walk_span = crate::tel::span("pyramid_walk");
                 let answer = shard
                     .profile_of(uid)
                     .and_then(|lp| shard.cloak_user(uid).map(|region| (lp, region)));
-                #[cfg(feature = "telemetry")]
                 drop(walk_span);
                 answer
             };
@@ -606,12 +590,9 @@ impl ShardedAnonymizer {
                 continue;
             }
             self.stall(home as usize);
-            #[cfg(feature = "telemetry")]
             let shard = crate::tel::with_lock_wait_span(home as usize, || {
                 self.shards[home as usize].read()
             });
-            #[cfg(not(feature = "telemetry"))]
-            let shard = self.shards[home as usize].read();
             // One hash probe per member, whole group cloaked in Morton
             // order of their maintained leaves (tags index `members`).
             let tagged: Vec<(usize, UserId)> = members

@@ -1,5 +1,4 @@
-//! Telemetry probes for the framework layer (compiled only with the
-//! `telemetry` feature).
+//! Telemetry probes for the framework layer.
 //!
 //! Each probe caches its registry handle in a `OnceLock`, so the hot
 //! paths (frame serving, retries, pipeline stages) pay only relaxed
@@ -57,7 +56,6 @@ pub(crate) fn span_current() -> Option<casper_telemetry::SpanContext> {
 
 /// Adopts a captured context on the calling thread (worker pools; only
 /// the overload admission queue hops threads today).
-#[cfg(feature = "overload")]
 pub(crate) fn span_adopt(ctx: casper_telemetry::SpanContext) -> casper_telemetry::ContextGuard {
     casper_telemetry::spans().adopt(ctx)
 }
@@ -69,7 +67,6 @@ pub(crate) fn span_flag(trace_id: u64) {
 
 /// Records a span with explicit endpoints under `ctx` (intervals measured
 /// before the recording thread had any context, e.g. admission sojourn).
-#[cfg(feature = "overload")]
 pub(crate) fn span_manual(
     ctx: casper_telemetry::SpanContext,
     name: &'static str,
@@ -356,7 +353,6 @@ pub(crate) fn net_server() -> &'static NetServerTel {
 
 /// Counts one shed request by reason
 /// (`casper_overload_shed_total{reason=...}`).
-#[cfg(feature = "overload")]
 pub(crate) fn record_shed(reason: &'static str) {
     static REASONS: OnceLock<parking_lot::Mutex<Vec<(&'static str, Arc<Counter>)>>> =
         OnceLock::new();
@@ -376,7 +372,6 @@ pub(crate) fn record_shed(reason: &'static str) {
 }
 
 /// Counts one request admitted past the overload gates.
-#[cfg(feature = "overload")]
 pub(crate) fn record_admitted() {
     cached_counter!(
         "casper_overload_admitted_total",
@@ -386,7 +381,6 @@ pub(crate) fn record_admitted() {
 }
 
 /// Records one observed admission-queue sojourn time.
-#[cfg(feature = "overload")]
 pub(crate) fn record_sojourn(d: Duration) {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
@@ -399,7 +393,6 @@ pub(crate) fn record_sojourn(d: Duration) {
 }
 
 /// Publishes the brownout level now in force.
-#[cfg(feature = "overload")]
 pub(crate) fn record_brownout_level(level: crate::overload::BrownoutLevel) {
     static G: OnceLock<Arc<Gauge>> = OnceLock::new();
     G.get_or_init(|| {
@@ -413,7 +406,6 @@ pub(crate) fn record_brownout_level(level: crate::overload::BrownoutLevel) {
 
 /// Counts a circuit-breaker event (`casper_breaker_events_total{event=...}`:
 /// `open` when a breaker trips, `fast_fail` per request it rejects).
-#[cfg(feature = "overload")]
 pub(crate) fn record_breaker(event: &'static str) {
     static EVENTS: OnceLock<parking_lot::Mutex<Vec<(&'static str, Arc<Counter>)>>> =
         OnceLock::new();
@@ -524,7 +516,6 @@ fn shard_label(shard: usize) -> &'static str {
 // Durability (WAL, checkpoints, recovery).
 
 /// Records one WAL group-commit flush of `bytes` bytes.
-#[cfg(feature = "durability")]
 pub(crate) fn wal_flush(bytes: u64) {
     cached_counter!(
         "casper_wal_flushes_total",
@@ -535,7 +526,6 @@ pub(crate) fn wal_flush(bytes: u64) {
 }
 
 /// Records one checkpoint written, with its size.
-#[cfg(feature = "durability")]
 pub(crate) fn checkpoint_written(bytes: u64) {
     cached_counter!(
         "casper_checkpoints_total",
@@ -555,7 +545,6 @@ pub(crate) fn checkpoint_written(bytes: u64) {
 /// Records a completed recovery: duration histogram, replay/truncation
 /// counters, and a flight-recorder event an operator can correlate with
 /// the §8 replay storm that follows a boot-epoch change.
-#[cfg(feature = "durability")]
 pub(crate) fn recovery_done(report: &crate::durability::RecoveryReport) {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
@@ -601,7 +590,6 @@ pub(crate) fn record_client_failover() {
 
 /// Publishes the primary's replication lag (locally committed ops not
 /// yet durably acked by the standby).
-#[cfg(feature = "replication")]
 pub(crate) fn replication_lag(ops: u64) {
     static G: OnceLock<Arc<Gauge>> = OnceLock::new();
     G.get_or_init(|| {
@@ -615,7 +603,6 @@ pub(crate) fn replication_lag(ops: u64) {
 
 /// Counts one shipped replication frame and the records it carried
 /// (a zero-record frame is a heartbeat).
-#[cfg(feature = "replication")]
 pub(crate) fn record_replication_ship(records: usize) {
     cached_counter!(
         "casper_replication_frames_total",
@@ -631,7 +618,6 @@ pub(crate) fn record_replication_ship(records: usize) {
 
 /// Records a standby promotion: counter + flight event carrying the new
 /// epoch, the signal an operator correlates with the client replay storm.
-#[cfg(feature = "replication")]
 pub(crate) fn record_promotion(epoch: u64) {
     cached_counter!(
         "casper_replication_promotions_total",
@@ -648,7 +634,6 @@ pub(crate) fn record_promotion(epoch: u64) {
 }
 
 /// Counts a primary fencing itself after seeing a higher ack epoch.
-#[cfg(feature = "replication")]
 pub(crate) fn record_fenced() {
     cached_counter!(
         "casper_replication_fenced_total",
@@ -664,7 +649,6 @@ pub(crate) fn record_fenced() {
 /// (`casper_continuous_refreshes_total{outcome=...}`): `reuse` = cached
 /// candidates still valid, `reevaluate` = region changed, `stale` = a
 /// covered target changed while the region stayed put.
-#[cfg(feature = "qp-cache")]
 pub(crate) fn record_continuous(outcome: &'static str) {
     static OUTCOMES: OnceLock<parking_lot::Mutex<Vec<(&'static str, Arc<Counter>)>>> =
         OnceLock::new();

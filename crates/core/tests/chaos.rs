@@ -136,42 +136,39 @@ fn run_chaos_workload(faults: FaultConfig, handles: u64, updates: u64, queries: 
     // telemetry registry. The registry is process-global and other chaos
     // tests run in parallel, so the registry can only be *at least* this
     // proxy's contribution.
-    #[cfg(feature = "telemetry")]
-    {
-        let reg = casper_telemetry::registry();
-        for (kind, count) in [
-            ("drop", tally.drops),
-            ("corrupt", tally.corrupts),
-            ("truncate", tally.truncates),
-            ("disconnect", tally.disconnects),
-            ("delay", tally.delays),
-        ] {
-            if count == 0 {
-                continue;
-            }
-            let counter = reg.counter_with(
-                "casper_chaos_injected_total",
-                "Faults injected by the chaos proxy, by kind",
-                &[("kind", kind)],
-            );
-            assert!(
-                counter.get() >= count,
-                "registry saw {} injected {kind} faults, proxy tallied {count}",
-                counter.get()
-            );
+    let reg = casper_telemetry::registry();
+    for (kind, count) in [
+        ("drop", tally.drops),
+        ("corrupt", tally.corrupts),
+        ("truncate", tally.truncates),
+        ("disconnect", tally.disconnects),
+        ("delay", tally.delays),
+    ] {
+        if count == 0 {
+            continue;
         }
-        if stats.retries > 0 {
-            let retries = reg.counter(
-                "casper_net_client_retries_total",
-                "Anonymizer-side operations retried at least once",
-            );
-            assert!(
-                retries.get() >= stats.retries,
-                "registry retries {} < client-observed {}",
-                retries.get(),
-                stats.retries
-            );
-        }
+        let counter = reg.counter_with(
+            "casper_chaos_injected_total",
+            "Faults injected by the chaos proxy, by kind",
+            &[("kind", kind)],
+        );
+        assert!(
+            counter.get() >= count,
+            "registry saw {} injected {kind} faults, proxy tallied {count}",
+            counter.get()
+        );
+    }
+    if stats.retries > 0 {
+        let retries = reg.counter(
+            "casper_net_client_retries_total",
+            "Anonymizer-side operations retried at least once",
+        );
+        assert!(
+            retries.get() >= stats.retries,
+            "registry retries {} < client-observed {}",
+            retries.get(),
+            stats.retries
+        );
     }
     proxy.shutdown();
     server.shutdown();

@@ -4,8 +4,6 @@
 //! byte of an encoding is always detected (CRC-32 catches every burst
 //! error up to 32 bits, so a one-byte flip can never slip through).
 
-#![cfg(feature = "durability")]
-
 use casper_core::durability::checkpoint::{decode_checkpoint, encode_checkpoint};
 use casper_core::durability::wal::{decode_records, encode_record, DecodeStop, WalOp};
 use casper_geometry::Point;

@@ -37,7 +37,7 @@
 //! their workload and kill point (wall-clock timing of promotion is
 //! real, so runs are not bit-identical in *time*, only in *state*).
 
-#![cfg(all(feature = "replication", feature = "faults"))]
+#![cfg(feature = "faults")]
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

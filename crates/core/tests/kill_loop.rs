@@ -20,8 +20,6 @@
 //! points, plus a dedicated crash-*during*-recovery loop. Everything is
 //! deterministic: a failing seed replays bit-identically.
 
-#![cfg(feature = "durability")]
-
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -9,7 +9,7 @@
 //! circuit breaker fast-failing a dead peer, deadline-aware retry give-up,
 //! the brownout ladder, continuous-tick striding, and pending-update TTL
 //! expiry — the full request-plane overload surface.
-#![cfg(all(feature = "overload", feature = "faults"))]
+#![cfg(feature = "faults")]
 
 use std::time::{Duration, Instant};
 
@@ -82,26 +82,12 @@ fn assert_contract(engine: &ParallelEngine<ShardedAnonymizer>, uid: UserId, resp
     }
 }
 
-/// The tentpole acceptance test: seeded 10× flash crowd + one stalled
-/// shard. Zero `(k, A_min)` violations, explicit sheds only, and the p99
-/// of admitted probe queries within 3× the unloaded baseline.
-#[test]
-fn flash_crowd_with_stalled_shard_sheds_explicitly_and_fails_private() {
-    const USERS: u64 = 240;
-    const STORM_THREADS: usize = 8;
-    const BATCHES: usize = 4;
-    const BATCH: usize = 100;
+/// Population of the flash-crowd tests.
+const USERS: u64 = 240;
 
-    let engine = ParallelEngine::sharded(8, 2, 8).with_overload(OverloadConfig {
-        queue_cap: 12,
-        target_sojourn: Duration::from_millis(1),
-        codel_interval: Duration::from_millis(5),
-        retry_after: Duration::from_millis(5),
-        ..OverloadConfig::default()
-    });
-    engine.load_targets(grid_targets(10));
-
-    // Seeded population spread over the whole unit square (all shards).
+/// Registers the seeded flash-crowd population, spread over the whole
+/// unit square (all shards).
+fn seed_population(engine: &ParallelEngine<ShardedAnonymizer>) {
     let seedfill = FlashCrowd::new(7, USERS, USERS)
         .with_hotspot(Point::new(0.5, 0.5), 0.5)
         .with_profiles(PROFILES.len());
@@ -116,6 +102,56 @@ fn flash_crowd_with_stalled_shard_sheds_explicitly_and_fails_private() {
         });
         assert!(matches!(resp, Response::Maintained(_)));
     }
+}
+
+/// One storm thread's schedule: `n` seeded cloak / query / update
+/// requests against the seeded population, converging on the hotspot.
+fn storm_requests(seed: u64, n: usize) -> impl Iterator<Item = (UserId, Request)> {
+    FlashCrowd::new(seed, USERS, USERS + n as u64)
+        .with_hotspot(Point::new(0.5, 0.5), 0.5)
+        .with_query_ratio(0.6)
+        .skip(USERS as usize)
+        .filter_map(|ev| match ev {
+            StormEvent::Query { uid } if uid % 2 == 0 => {
+                Some((UserId(uid), Request::Cloak { uid: UserId(uid) }))
+            }
+            StormEvent::Query { uid } => Some((
+                UserId(uid),
+                Request::QueryNn {
+                    uid: UserId(uid),
+                    filters: None,
+                    category: None,
+                },
+            )),
+            StormEvent::Update { uid, to } => Some((
+                UserId(uid),
+                Request::UpdateLocation {
+                    uid: UserId(uid),
+                    pos: to,
+                },
+            )),
+            StormEvent::Register { .. } => None,
+        })
+}
+
+/// The tentpole acceptance test: seeded 10× flash crowd + one stalled
+/// shard. Zero `(k, A_min)` violations, explicit sheds only, and the p99
+/// of admitted probe queries within 3× the unloaded baseline.
+#[test]
+fn flash_crowd_with_stalled_shard_sheds_explicitly_and_fails_private() {
+    const STORM_THREADS: usize = 8;
+    const BATCHES: usize = 4;
+    const BATCH: usize = 100;
+
+    let engine = ParallelEngine::sharded(8, 2, 8).with_overload(OverloadConfig {
+        queue_cap: 12,
+        target_sojourn: Duration::from_millis(1),
+        codel_interval: Duration::from_millis(5),
+        retry_after: Duration::from_millis(5),
+        ..OverloadConfig::default()
+    });
+    engine.load_targets(grid_targets(10));
+    seed_population(&engine);
 
     // Unloaded baseline: sequential snapshot queries, no storm, no stall.
     let mut baseline = Vec::with_capacity(300);
@@ -166,38 +202,10 @@ fn flash_crowd_with_stalled_shard_sheds_explicitly_and_fails_private() {
                 let engine = &engine;
                 storm_handles.push(s.spawn(move || {
                     let mut checked: Vec<(UserId, Response)> = Vec::new();
-                    let events = FlashCrowd::new(
-                        1000 + round * 100 + t as u64,
-                        USERS,
-                        USERS + (BATCHES * BATCH) as u64,
-                    )
-                    .with_hotspot(Point::new(0.5, 0.5), 0.5)
-                    .with_query_ratio(0.6)
-                    .skip(USERS as usize);
                     let mut batch: Vec<(Request, Deadline)> = Vec::with_capacity(BATCH);
                     let mut uids: Vec<UserId> = Vec::with_capacity(BATCH);
-                    for ev in events {
-                        let (uid, req) = match ev {
-                            StormEvent::Query { uid } if uid % 2 == 0 => {
-                                (UserId(uid), Request::Cloak { uid: UserId(uid) })
-                            }
-                            StormEvent::Query { uid } => (
-                                UserId(uid),
-                                Request::QueryNn {
-                                    uid: UserId(uid),
-                                    filters: None,
-                                    category: None,
-                                },
-                            ),
-                            StormEvent::Update { uid, to } => (
-                                UserId(uid),
-                                Request::UpdateLocation {
-                                    uid: UserId(uid),
-                                    pos: to,
-                                },
-                            ),
-                            StormEvent::Register { .. } => continue,
-                        };
+                    for (uid, req) in storm_requests(1000 + round * 100 + t as u64, BATCHES * BATCH)
+                    {
                         uids.push(uid);
                         batch.push((req, Deadline::within(Duration::from_millis(50))));
                         if batch.len() == BATCH {
@@ -290,6 +298,43 @@ fn flash_crowd_with_stalled_shard_sheds_explicitly_and_fails_private() {
          {rounds:?} (p99, admitted, shed) — admission control is not protecting \
          admitted work"
     );
+}
+
+/// The runtime off-switch: an engine built without `with_overload` has
+/// no admission gate, so the same flash crowd — same seeds, same stalled
+/// shard — is served in full and never answered `Overloaded`.
+#[test]
+fn engine_without_overload_never_sheds_under_the_flash_crowd() {
+    let engine = ParallelEngine::sharded(8, 2, 8);
+    assert!(engine.overload_stats().is_none());
+    engine.load_targets(grid_targets(10));
+    seed_population(&engine);
+    let stalled = engine.anonymizer().shard_of(Point::new(0.51, 0.52));
+    engine
+        .anonymizer()
+        .set_shard_delay(stalled, Duration::from_micros(150));
+
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let engine = &engine;
+            s.spawn(move || {
+                let (uids, batch): (Vec<UserId>, Vec<(Request, Deadline)>) =
+                    storm_requests(1000 + t, 200)
+                        .map(|(uid, req)| (uid, (req, Deadline::none())))
+                        .unzip();
+                let responses = engine.execute_batch_with_deadline(batch);
+                assert_eq!(responses.len(), uids.len());
+                for (uid, resp) in uids.into_iter().zip(responses) {
+                    assert!(
+                        !matches!(resp, Response::Overloaded { .. }),
+                        "shed without an overload subsystem: {resp:?}"
+                    );
+                    assert_contract(engine, uid, &resp);
+                }
+            });
+        }
+    });
+    assert_eq!(engine.anonymizer().user_count(), USERS as usize);
 }
 
 /// Every rung of the brownout ladder keeps the fail-private invariant:

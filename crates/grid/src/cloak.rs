@@ -82,7 +82,6 @@ impl CloakedRegion {
 /// Algorithm 1); otherwise the root region is returned as the best effort.
 pub fn bottom_up_cloak<S: CellStore>(store: &S, profile: Profile, start: CellId) -> CloakedRegion {
     let region = bottom_up_cloak_impl(store, profile, start, true);
-    #[cfg(feature = "telemetry")]
     crate::tel::record_cloak(&region);
     region
 }
@@ -99,7 +98,6 @@ pub fn bottom_up_cloak_cells_only<S: CellStore>(
     start: CellId,
 ) -> CloakedRegion {
     let region = bottom_up_cloak_impl(store, profile, start, false);
-    #[cfg(feature = "telemetry")]
     crate::tel::record_cloak(&region);
     region
 }

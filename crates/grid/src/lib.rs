@@ -28,7 +28,6 @@ pub mod hash;
 mod profile;
 pub mod render;
 mod stats;
-#[cfg(feature = "telemetry")]
 mod tel;
 mod user_entry;
 mod versions;

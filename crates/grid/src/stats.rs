@@ -42,12 +42,11 @@ impl MaintenanceStats {
     }
 
     /// Folds these costs into the process-wide telemetry registry
-    /// (`casper_grid_*_total` counters). No-op without the `telemetry`
-    /// feature. Called by the pyramid structures after every maintenance
-    /// operation, so the continuously-running system exposes the same
-    /// update-cost signal the figures measure offline.
+    /// (`casper_grid_*_total` counters). Called by the pyramid structures
+    /// after every maintenance operation, so the continuously-running
+    /// system exposes the same update-cost signal the figures measure
+    /// offline.
     pub fn record(&self) {
-        #[cfg(feature = "telemetry")]
         crate::tel::record_maintenance(self);
     }
 }

@@ -1,5 +1,4 @@
-//! Telemetry probes for the grid layer (compiled only with the
-//! `telemetry` feature).
+//! Telemetry probes for the grid layer.
 //!
 //! Handles into the process-wide registry are cached in `OnceLock`s per
 //! call site, so after the first observation each probe is a couple of

@@ -1,4 +1,4 @@
-//! The privacy-aware **candidate cache** (feature `qp-cache`).
+//! The privacy-aware **candidate cache**.
 //!
 //! Cloaked regions come out of the anonymizer's grid pyramid, so their
 //! coordinates quantize to cell boundaries and heavy traffic asks the
@@ -223,20 +223,17 @@ impl CandidateCache {
         match shard.get(key) {
             Some(entry) if versions.validate(&entry.stamp) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_cache_event("hit");
                 Some(entry.list.clone())
             }
             Some(_) => {
                 shard.remove(key);
                 self.stale.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_cache_event("stale");
                 None
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_cache_event("miss");
                 None
             }
@@ -253,7 +250,6 @@ impl CandidateCache {
             if let Some(&victim) = shard.keys().next() {
                 shard.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 crate::tel::record_cache_event("eviction");
             }
         }
@@ -276,21 +272,13 @@ impl CandidateCache {
     ) -> CandidateList {
         // A child span per lookup puts the hit/miss on the request's
         // trace (inert when the calling thread carries no trace context).
-        #[cfg(feature = "telemetry")]
         let mut lookup_span = casper_telemetry::spans().child("cache_lookup");
         if let Some(hit) = self.lookup(&key, versions) {
-            #[cfg(feature = "telemetry")]
-            {
-                lookup_span.set_outcome("hit");
-                drop(lookup_span);
-            }
+            lookup_span.set_outcome("hit");
             return hit;
         }
-        #[cfg(feature = "telemetry")]
-        {
-            lookup_span.set_outcome("miss");
-            drop(lookup_span);
-        }
+        lookup_span.set_outcome("miss");
+        drop(lookup_span);
         let before = versions.mutation_count();
         let list = compute();
         let stamp = versions.stamp(&list.dep);

@@ -30,14 +30,12 @@
 #![warn(missing_docs)]
 
 mod aggregate;
-#[cfg(feature = "qp-cache")]
 pub mod cache;
 mod extend;
 mod filter;
 mod knn;
 mod nn;
 mod range;
-#[cfg(feature = "telemetry")]
 mod tel;
 
 pub use aggregate::{DensityGrid, DensityTimeline};

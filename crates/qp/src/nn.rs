@@ -39,7 +39,6 @@ pub fn private_nn_public_data<I: SpatialIndex>(
     filters: FilterCount,
 ) -> CandidateList {
     let Some(vf) = assign_filters_public(index, region, filters) else {
-        #[cfg(feature = "telemetry")]
         crate::tel::record_candidates_public(0);
         return CandidateList::empty(region);
     };
@@ -51,7 +50,6 @@ pub fn private_nn_public_data<I: SpatialIndex>(
             .all(|f| candidates.iter().any(|c| c.id == f.id)),
         "filters lie within their own bounding circles, so A_EXT must contain them"
     );
-    #[cfg(feature = "telemetry")]
     crate::tel::record_candidates_public(candidates.len());
     let dep = vf.dep_with(&a_ext);
     CandidateList::from_parts(candidates, a_ext, vf.distinct, dep)
@@ -73,7 +71,6 @@ pub fn private_nn_private_data<I: SpatialIndex>(
     min_overlap: f64,
 ) -> CandidateList {
     let Some(vf) = assign_filters_private(index, region, filters) else {
-        #[cfg(feature = "telemetry")]
         crate::tel::record_candidates_private(0);
         return CandidateList::empty(region);
     };
@@ -82,7 +79,6 @@ pub fn private_nn_private_data<I: SpatialIndex>(
     if min_overlap > 0.0 {
         candidates.retain(|e| e.mbr.overlap_fraction(&a_ext) >= min_overlap);
     }
-    #[cfg(feature = "telemetry")]
     crate::tel::record_candidates_private(candidates.len());
     let dep = vf.dep_with(&a_ext);
     CandidateList::from_parts(candidates, a_ext, vf.distinct, dep)

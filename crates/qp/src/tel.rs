@@ -1,5 +1,4 @@
-//! Telemetry probes for the query processor (compiled only with the
-//! `telemetry` feature).
+//! Telemetry probes for the query processor.
 
 use std::sync::{Arc, OnceLock};
 
@@ -20,7 +19,6 @@ pub(crate) fn record_candidates_public(len: usize) {
 
 /// Counts candidate-cache outcomes (`hit` / `miss` / `stale` /
 /// `eviction`) in the process-wide registry.
-#[cfg(feature = "qp-cache")]
 pub(crate) fn record_cache_event(outcome: &'static str) {
     use casper_telemetry::Counter;
     static HIT: OnceLock<Arc<Counter>> = OnceLock::new();

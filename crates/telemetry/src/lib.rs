@@ -25,9 +25,8 @@
 //! * [`MetricsHttp`] — a tiny optional HTTP listener serving `/metrics`,
 //!   `/flight`, `/trace`, and `/trace/<id>`.
 //!
-//! Every other crate instruments itself behind a default-on `telemetry`
-//! cargo feature that gates its dependency on this crate, so
-//! `--no-default-features` builds carry zero telemetry code.
+//! Instrumentation is always compiled in; span sample rate 0
+//! ([`SpanStore::set_sample_rate`]) is the runtime off-switch for tracing.
 //!
 //! The process-wide instances live behind [`global`]; libraries use the
 //! [`registry`] / [`flight`] shortcuts so all components aggregate into

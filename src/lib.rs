@@ -17,9 +17,9 @@
 //! | [`mobility`] | network-based moving-object generator (workloads) |
 //! | [`baselines`] | quadtree cloaking, CliqueCloak, naive strategies |
 //! | [`core`] | the assembled framework: server, client, end-to-end |
-//! | `telemetry` | metrics registry, tracing, flight recorder (feature `telemetry`, default on) |
-//! | `core::durability` | WAL, checkpoints, crash recovery for the trusted tier (feature `durability`, default on) |
-//! | `qp::cache` | candidate-answer cache + shared continuous-query execution (feature `qp-cache`, default on) |
+//! | [`telemetry`] | metrics registry, tracing, flight recorder |
+//! | `core::durability` | WAL, checkpoints, crash recovery for the trusted tier |
+//! | `qp::cache` | candidate-answer cache + shared continuous-query execution |
 //!
 //! # Quickstart
 //!
@@ -53,7 +53,6 @@ pub use casper_grid as grid;
 pub use casper_index as index;
 pub use casper_mobility as mobility;
 pub use casper_qp as qp;
-#[cfg(feature = "telemetry")]
 pub use casper_telemetry as telemetry;
 
 /// The most common imports, bundled.
@@ -62,7 +61,6 @@ pub mod prelude {
         AdaptiveAnonymizer, Anonymizer, AnonymizerKind, BasicAnonymizer, CloakedQuery,
         CloakedUpdate, Pseudonym,
     };
-    #[cfg(feature = "durability")]
     pub use casper_core::{
         recover_sharded_engine, DirStorage, DurabilityConfig, DurabilityError, DurableAnonymizer,
         MemStorage, RecoveryReport,
@@ -70,10 +68,8 @@ pub mod prelude {
     pub use casper_core::{
         AnonymizerService, Casper, CasperClient, CasperServer, Category, ContinuousNn,
         ContinuousSet, EndToEndAnswer, EndToEndBreakdown, Engine, FilterPolicy, ParallelEngine,
-        PrivateHandle, Request, Response, ShardedAnonymizer, StreamingAnonymizer,
-        TransmissionModel,
+        PrivateHandle, Request, Response, ShardedAnonymizer, TransmissionModel,
     };
-    #[cfg(feature = "qp-cache")]
     pub use casper_core::{CacheConfig, CacheStats};
     pub use casper_geometry::{Point, Rect};
     pub use casper_grid::{

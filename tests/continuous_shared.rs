@@ -11,8 +11,6 @@
 //! (reuse), and dependency-region invalidations (target churn) — all
 //! three maintenance paths.
 
-#![cfg(feature = "qp-cache")]
-
 use casper::prelude::*;
 
 const TICKS: usize = 40;

@@ -1,20 +1,25 @@
 //! Acceptance tests for the telemetry layer: a chaos workload populates
 //! every core metric family, shard quarantines flip the per-shard
 //! gauges, a forced-degraded query leaves its trace in the flight
-//! recorder, and the metrics page is scrapeable over HTTP mid-run.
+//! recorder, the metrics page is scrapeable over HTTP mid-run, and span
+//! sample rate 0 — the runtime off-switch for tracing — changes no reply
+//! byte and stops no counter.
 //!
 //! The registry and flight recorder are process-global, so assertions
 //! here are lower bounds or exact values on series that only one test
 //! touches.
 
-#![cfg(all(feature = "faults", feature = "telemetry"))]
+#![cfg(feature = "faults")]
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::time::Duration;
 
+use casper::core::codec::{encode_frame, FrameDecoder};
 use casper::core::faults::{ChaosProxy, FaultConfig};
 use casper::core::net::ServerConfig;
+use casper::core::wire::{self, Message, TraceContext};
 use casper::core::{
     ClientConfig, NetworkServer, QueryOutcome, RemoteCasper, RetryPolicy, ShardedAnonymizer,
 };
@@ -37,6 +42,19 @@ fn chaos_client_config() -> ClientConfig {
         },
         jitter_seed: 0x0B5E,
         ..ClientConfig::default()
+    }
+}
+
+/// The span sample rate is process-global and tests run on parallel
+/// threads: the tests that change it hold this lock while they do.
+static SAMPLE_RATE: Mutex<()> = Mutex::new(());
+
+/// Restores the span sample rate when dropped (also on a failed assert).
+struct RestoreSampleRate(u64);
+
+impl Drop for RestoreSampleRate {
+    fn drop(&mut self) {
+        telemetry::spans().set_sample_rate(self.0);
     }
 }
 
@@ -183,8 +201,9 @@ fn chaos_workload_populates_all_core_metrics() {
 /// it as well-formed Chrome trace-event JSON.
 #[test]
 fn chaos_traced_request_yields_connected_cross_process_span_tree() {
+    let _serial = SAMPLE_RATE.lock().unwrap_or_else(|e| e.into_inner());
     let spans = telemetry::spans();
-    let prior_rate = spans.sample_rate();
+    let _restore = RestoreSampleRate(spans.sample_rate());
     spans.set_sample_rate(1); // keep every trace for this test
 
     let mut rng = StdRng::seed_from_u64(0x7E11);
@@ -290,9 +309,123 @@ fn chaos_traced_request_yields_connected_cross_process_span_tree() {
     assert_eq!(body.matches('{').count(), body.matches('}').count());
     assert_eq!(body.matches('[').count(), body.matches(']').count());
 
-    spans.set_sample_rate(prior_rate);
     proxy.shutdown();
     server.shutdown();
+}
+
+/// One cloaked update and one NN query as raw frames over a fresh
+/// connection, stamped with a *sampled* trace context the way a tracing
+/// anonymizer would. Returns the two reply payloads.
+fn traced_exchange(addr: SocketAddr, trace_id: u64) -> Vec<Vec<u8>> {
+    let ctx = TraceContext {
+        trace_id,
+        parent_span: 1,
+        sampled: true,
+    };
+    let region = Rect::from_coords(0.25, 0.25, 0.5, 0.5);
+    let mut stream = TcpStream::connect(addr).expect("server reachable");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    for msg in [
+        Message::CloakedUpdate {
+            handle: 77,
+            seq: 1,
+            region,
+        },
+        Message::CloakedQuery {
+            pseudonym: 9,
+            region,
+        },
+    ] {
+        let payload = wire::stamp_trace(wire::encode(&msg), &ctx);
+        stream.write_all(&encode_frame(&payload)).unwrap();
+    }
+    let mut decoder = FrameDecoder::new();
+    let mut replies = Vec::new();
+    let mut buf = [0u8; 4096];
+    while replies.len() < 2 {
+        let n = stream.read(&mut buf).expect("reply before the timeout");
+        assert!(n > 0, "server closed the connection mid-exchange");
+        decoder.push(&buf[..n]);
+        while let Some(frame) = decoder.next_frame().expect("well-formed reply frame") {
+            replies.push(frame);
+        }
+    }
+    replies
+}
+
+/// Span sample rate 0 is the runtime off-switch that replaced the
+/// compile-time one: the same served exchange records no span, returns
+/// byte-identical replies, and leaves every counter and the metrics
+/// page working.
+#[test]
+fn sample_rate_zero_records_no_spans_and_changes_no_reply_byte() {
+    let _serial = SAMPLE_RATE.lock().unwrap_or_else(|e| e.into_inner());
+    let spans = telemetry::spans();
+    let _restore = RestoreSampleRate(spans.sample_rate());
+
+    // Two identical servers (same targets, pinned boot id), so both arms
+    // run the *same* exchange from the same starting state.
+    let spawn = || {
+        let mut backend = CasperServer::new();
+        backend.load_public_targets((0..50u64).map(|i| {
+            (
+                ObjectId(i),
+                Point::new(i as f64 / 50.0, (i % 7) as f64 / 7.0),
+            )
+        }));
+        NetworkServer::spawn_with(
+            backend,
+            FilterCount::Four,
+            ServerConfig {
+                metrics_http: Some(SocketAddr::from(([127, 0, 0, 1], 0))),
+                boot_id: Some(7),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let (traced_id, untraced_id) = (0x5A3E_0001_u64, 0x5A3E_0002_u64);
+
+    // At the default rate the server grafts its frame spans onto the
+    // wire context — the instrument is live, so the zero below means
+    // something.
+    let on = spawn();
+    let replies_on = traced_exchange(on.addr(), traced_id);
+    assert!(
+        spans
+            .trace(traced_id)
+            .iter()
+            .any(|s| s.name == "server_frame"),
+        "tracing on: the served frames left no span"
+    );
+    on.shutdown();
+
+    spans.set_sample_rate(0);
+    let off = spawn();
+    let frames = telemetry::registry().counter("casper_net_server_frames_total", "");
+    let frames_before = frames.get();
+    let replies_off = traced_exchange(off.addr(), untraced_id);
+
+    assert_eq!(replies_off, replies_on, "sample rate 0 changed reply bytes");
+    assert!(
+        spans.trace(untraced_id).is_empty(),
+        "sample rate 0 still recorded spans"
+    );
+    assert!(
+        spans.finished().iter().all(|t| t.trace_id != untraced_id),
+        "sample rate 0 still finished a trace"
+    );
+    assert_eq!(off.stats().frames, 2);
+    assert!(
+        frames.get() >= frames_before + 2,
+        "the frames counter must not depend on the sample rate"
+    );
+    let page = http_get(off.metrics_addr().unwrap(), "/metrics");
+    assert!(page.starts_with("HTTP/1.1 200 OK"), "{page}");
+    assert!(page.contains("casper_net_server_frames_total"), "{page}");
+    off.shutdown();
 }
 
 /// Shard quarantine/restore flips the per-shard gauges, counts the

@@ -13,7 +13,6 @@
 //! survives: every region queried during the storm must answer
 //! identically to a fresh cache-off server holding the final store.
 
-#![cfg(feature = "qp-cache")]
 #![allow(clippy::type_complexity)]
 
 use std::sync::Arc;

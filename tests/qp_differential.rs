@@ -12,8 +12,6 @@
 //! neighbour for *any* position inside the cloaked region, range
 //! answers must contain every qualifying object.
 
-#![cfg(feature = "qp-cache")]
-
 use std::collections::HashMap;
 
 use casper::prelude::*;
