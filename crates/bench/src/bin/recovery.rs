@@ -18,18 +18,17 @@
 //! numbers isolate recovery compute from disk speed); a second, smaller
 //! section repeats two intervals on a real directory ([`DirStorage`])
 //! for end-to-end times. A `checkpoint_size` section encodes the same
-//! post-workload state with the legacy v1 (interleaved 36-byte records)
-//! and current v2 (columnar, varint-packed) checkpoint formats, asserts
-//! both round-trip, and records the size ratio. Results land in
-//! `BENCH_recovery.json` (schema v2).
+//! post-workload state as a (columnar, varint-packed) checkpoint, asserts
+//! it round-trips, and records its size and bytes per user. Results land
+//! in `BENCH_recovery.json` (schema v3).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use casper_core::durability::{
-    decode_checkpoint, encode_checkpoint, encode_checkpoint_v1, verify_recovery, DirStorage,
-    DurabilityConfig, DurableAnonymizer, MemStorage, Storage,
+    decode_checkpoint, encode_checkpoint, verify_recovery, DirStorage, DurabilityConfig,
+    DurableAnonymizer, MemStorage, Storage,
 };
 use casper_core::{AnonymizerService, ShardedAnonymizer};
 use casper_geometry::Point;
@@ -156,10 +155,9 @@ fn run_dir(every: Option<u64>) -> Sample {
     sample
 }
 
-/// Encodes the post-workload user table as both checkpoint formats,
-/// asserts each decodes back to the same records, and returns
-/// `(users, v1_bytes, v2_bytes)`.
-fn checkpoint_sizes() -> (usize, usize, usize) {
+/// Encodes the post-workload user table as a checkpoint, asserts it
+/// decodes back to the same records, and returns `(users, bytes)`.
+fn checkpoint_size() -> (usize, usize) {
     let storage = Arc::new(MemStorage::new());
     let cfg = DurabilityConfig {
         checkpoint_every: None,
@@ -183,19 +181,15 @@ fn checkpoint_sizes() -> (usize, usize, usize) {
     }
     let users: usize = shards.iter().map(Vec::len).sum();
 
-    let v1 = encode_checkpoint_v1(0, &shards);
-    let v2 = encode_checkpoint(0, &shards);
+    let bytes = encode_checkpoint(0, &shards);
     assert_eq!(
-        decode_checkpoint(&v2).expect("v2 decodes").shards,
+        decode_checkpoint(&bytes)
+            .expect("checkpoint decodes")
+            .shards,
         shards,
-        "v2 checkpoint must round-trip"
+        "checkpoint must round-trip"
     );
-    assert_eq!(
-        decode_checkpoint(&v1).expect("v1 decodes").shards,
-        shards,
-        "v1 checkpoint must round-trip"
-    );
-    (users, v1.len(), v2.len())
+    (users, bytes.len())
 }
 
 fn section_json(samples: &[Sample]) -> String {
@@ -247,12 +241,10 @@ fn main() {
         dir.push(s);
     }
 
-    let (ckpt_users, v1_bytes, v2_bytes) = checkpoint_sizes();
-    let ratio = v2_bytes as f64 / v1_bytes as f64;
+    let (ckpt_users, ckpt_bytes) = checkpoint_size();
+    let bytes_per_user = ckpt_bytes as f64 / ckpt_users as f64;
     println!(
-        "checkpoint size, {ckpt_users} users: v1 {v1_bytes} bytes, v2 {v2_bytes} bytes \
-         ({:.0}% of v1)",
-        ratio * 100.0
+        "checkpoint size, {ckpt_users} users: {ckpt_bytes} bytes ({bytes_per_user:.1} per user)"
     );
 
     let full_replay = mem.first().map(|s| s.recovery_ms).unwrap_or(f64::NAN);
@@ -265,10 +257,10 @@ fn main() {
          \"ops\": {OPS},\n  \"users\": {USERS},\n  \"global_height\": {GLOBAL_HEIGHT},\n  \
          \"shard_level\": {SHARD_LEVEL},\n  \"mem\": {{\n    \"intervals\": {{{}\n    }}\n  }},\n  \
          \"dir\": {{\n    \"ops\": {},\n    \"intervals\": {{{}\n    }}\n  }},\n  \
-         \"checkpoint_size\": {{\n    \"users\": {ckpt_users},\n    \"v1_bytes\": {v1_bytes},\n    \
-         \"v2_bytes\": {v2_bytes},\n    \"v2_over_v1\": {ratio:.3},\n    \"round_trip_ok\": true\n  }},\n  \
+         \"checkpoint_size\": {{\n    \"users\": {ckpt_users},\n    \"bytes\": {ckpt_bytes},\n    \
+         \"bytes_per_user\": {bytes_per_user:.2},\n    \"round_trip_ok\": true\n  }},\n  \
          \"full_replay_over_tight_checkpoint_speedup\": {headline:.2}\n}}\n",
-        casper_bench::SCHEMA_VERSION_V2,
+        casper_bench::SCHEMA_VERSION_V3,
         section_json(&mem),
         OPS / 4,
         section_json(&dir),

@@ -25,12 +25,11 @@ pub use table::Table;
 /// downstream tooling can detect shape changes instead of misparsing.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Schema for `recovery` since the flat-memory batching work
-/// (`checkpoint_size` v1-vs-v2 section). CI validates each artifact
-/// against its expected per-file version.
-pub const SCHEMA_VERSION_V2: u32 = 2;
-
-/// Schema for `throughput` since the sleep-paced `service` /
-/// `service_pipelined` sections and the top-level `speedup_4x_vs_1x`
-/// they fed were removed: `cpu_bound` and `single_thread_batch` only.
+/// Schema for the two artifacts that lost sections: `throughput` since
+/// the sleep-paced `service` / `service_pipelined` sections and the
+/// top-level `speedup_4x_vs_1x` they fed were removed (`cpu_bound` and
+/// `single_thread_batch` only), and `recovery` since `checkpoint_size`
+/// reports `bytes` / `bytes_per_user` of the one checkpoint format
+/// instead of comparing it with the retired v1 encoder. CI validates
+/// each artifact against its expected per-file version.
 pub const SCHEMA_VERSION_V3: u32 = 3;

@@ -29,8 +29,7 @@ use std::collections::VecDeque;
 use crate::net::{crc32, parse_header, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 
 /// Protocol violations detected by the decoder. Either one is fatal to
-/// its connection (mirroring the blocking transport, which kills the
-/// connection with an accounted error).
+/// its connection, which dies with an accounted error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// The header advertised a payload over the configured cap.

@@ -2,9 +2,8 @@
 //!
 //! [`ScriptedLink`] is a loopback transport: it replays a scripted
 //! request sequence through the *exact* production machinery — the
-//! sans-IO [`PipelineMachine`] the reactor transport runs per
-//! connection, and `process_frame`, the one execute path both
-//! transports share — but with every byte boundary and every completion
+//! sans-IO [`PipelineMachine`] the reactor runs per connection, and
+//! `process_frame`, its one execute path — but with every byte boundary and every completion
 //! order drawn from a seeded generator instead of from scheduler and
 //! network timing. The same seed replays the same interleaving forever.
 //!
@@ -24,7 +23,7 @@
 //!   the acked prefix (the idempotent replay) plus the unacked suffix.
 //!
 //! Conformance is asserted by comparing a scripted run against
-//! [`ScriptedLink::run_serial`] — the old transport's semantics: whole
+//! [`ScriptedLink::run_serial`] — the serial reference: whole
 //! frames, strictly serial execution — byte for byte on the reply
 //! stream and entry for entry on the final server state.
 
@@ -69,8 +68,8 @@ impl ScriptedLink {
         }
     }
 
-    /// The old transport's semantics, as the conformance reference:
-    /// whole frames, one in flight, strictly serial execution.
+    /// The serial reference: whole frames, one in flight, strictly
+    /// serial execution.
     pub fn run_serial(&self, plane: &ServerPlane, requests: &[Message]) -> ScriptOutcome {
         let stats = StatsInner::default();
         let mut reply_stream = Vec::new();
@@ -83,7 +82,7 @@ impl ScriptedLink {
         outcome(reply_stream, plane, &stats)
     }
 
-    /// The new transport's semantics under this link's seed: the request
+    /// The reactor's semantics under this link's seed: the request
     /// stream re-cut at arbitrary boundaries, frames completing out of
     /// order within the window.
     pub fn run_pipelined(&self, plane: &ServerPlane, requests: &[Message]) -> ScriptOutcome {

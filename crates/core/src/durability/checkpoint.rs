@@ -12,28 +12,25 @@
 //! | segment * shard_count                                      |
 //! | file_crc u32                                               |
 //!
-//! v2 segment := | shard_idx u32 | count u32 | columns | seg_crc u32 |
-//! columns    := | uid zigzag-delta varints * count |
-//!               | k varints * count                |
-//!               | a_min bitmap ceil(count/8)       |
-//!               | a_min f64 * popcount(bitmap)     |
-//!               | x f64 * count | y f64 * count    |
-//!
-//! v1 segment := | shard_idx u32 | count u32 | record * count | seg_crc u32 |
-//! v1 record  := | uid u64 | k u32 | a_min f64 | x f64 | y f64 | (36 bytes)
+//! segment := | shard_idx u32 | count u32 | columns | seg_crc u32 |
+//! columns := | uid zigzag-delta varints * count |
+//!            | k varints * count                |
+//!            | a_min bitmap ceil(count/8)       |
+//!            | a_min f64 * popcount(bitmap)     |
+//!            | x f64 * count | y f64 * count    |
 //! ```
 //!
-//! Version 2 is columnar: the flat per-shard arrays the anonymizer now
-//! keeps serialise as contiguous column runs instead of interleaved
-//! records. UIDs are zigzag-encoded deltas (consecutive registration
+//! The format (version 2, the only one decoded) is columnar: the flat
+//! per-shard arrays the anonymizer keeps serialise as contiguous column
+//! runs. UIDs are zigzag-encoded deltas (consecutive registration
 //! collapses to one byte each), `k` values are varints, and `a_min` —
 //! almost always the 0.0 default — is a presence bitmap plus only the
 //! non-zero values. Coordinates stay as exact f64 arrays, so decoding
 //! is bit-identical to what was encoded. Record order within a segment
-//! is preserved. Version-1 files still decode.
+//! is preserved.
 //!
 //! Both CRCs are CRC-32 (IEEE): `seg_crc` covers its segment's header
-//! and columns/records, `file_crc` covers every preceding byte of the
+//! and columns, `file_crc` covers every preceding byte of the
 //! file. Per-segment CRCs localise damage — diagnostics can say *which*
 //! shard of a checkpoint is bad — while the file CRC is the
 //! accept/reject gate recovery actually uses: a checkpoint is either
@@ -47,17 +44,14 @@ use crate::net::crc32;
 
 /// `"CSPA"` — Casper Anonymizer checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CSPA";
-/// Current checkpoint format version (columnar segments).
+/// The checkpoint format version (columnar segments).
 pub const CHECKPOINT_VERSION: u16 = 2;
-/// The legacy interleaved-record version; still decoded.
-pub const CHECKPOINT_VERSION_V1: u16 = 1;
 
 const HEADER_BYTES: usize = 4 + 2 + 8 + 4;
-const RECORD_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 const SEG_HEADER_BYTES: usize = 4 + 4;
-/// Smallest possible v2 record footprint: 1-byte uid varint + 1-byte k
+/// Smallest possible record footprint: 1-byte uid varint + 1-byte k
 /// varint + x f64 + y f64 (the a_min bitmap amortises below one byte).
-const MIN_RECORD_BYTES_V2: usize = 1 + 1 + 8 + 8;
+const MIN_RECORD_BYTES: usize = 1 + 1 + 8 + 8;
 
 /// One user record inside a checkpoint.
 pub type UserRecord = (UserId, Profile, Point);
@@ -148,7 +142,7 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Serialises a checkpoint in the current (v2, columnar) format.
+/// Serialises a checkpoint.
 /// `shards[i]` becomes the segment for shard index `i`; empty shards
 /// still get cheap 12-byte segments so the segment count always equals
 /// the shard count.
@@ -204,37 +198,6 @@ pub fn encode_checkpoint(wal_seq: u64, shards: &[Vec<UserRecord>]) -> Vec<u8> {
     out
 }
 
-/// Serialises a checkpoint in the legacy v1 interleaved-record format.
-/// Kept for compatibility tests and for benchmarking the v2 size win;
-/// production encoding goes through [`encode_checkpoint`].
-pub fn encode_checkpoint_v1(wal_seq: u64, shards: &[Vec<UserRecord>]) -> Vec<u8> {
-    let records: usize = shards.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(
-        HEADER_BYTES + shards.len() * (SEG_HEADER_BYTES + 4) + records * RECORD_BYTES + 4,
-    );
-    out.put_slice(&CHECKPOINT_MAGIC);
-    out.put_u16(CHECKPOINT_VERSION_V1);
-    out.put_u64(wal_seq);
-    out.put_u32(shards.len() as u32);
-    for (idx, records) in shards.iter().enumerate() {
-        let seg_start = out.len();
-        out.put_u32(idx as u32);
-        out.put_u32(records.len() as u32);
-        for &(uid, profile, pos) in records {
-            out.put_u64(uid.0);
-            out.put_u32(profile.k);
-            out.put_f64(profile.a_min);
-            out.put_f64(pos.x);
-            out.put_f64(pos.y);
-        }
-        let seg_crc = crc32(&out[seg_start..]);
-        out.put_u32(seg_crc);
-    }
-    let file_crc = crc32(&out);
-    out.put_u32(file_crc);
-    out
-}
-
 /// Parses and validates a checkpoint file. Never panics on arbitrary
 /// input.
 pub fn decode_checkpoint(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
@@ -260,7 +223,7 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
         return Err(CheckpointError::BadChecksum);
     }
     let version = cursor.get_u16();
-    if version != CHECKPOINT_VERSION && version != CHECKPOINT_VERSION_V1 {
+    if version != CHECKPOINT_VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
     let wal_seq = cursor.get_u64();
@@ -282,11 +245,7 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
         if idx >= shard_count || seen[idx] {
             return Err(CheckpointError::Malformed);
         }
-        let records = if version == CHECKPOINT_VERSION_V1 {
-            decode_records_v1(&mut seg_cur, count)?
-        } else {
-            decode_records_v2(&mut seg_cur, count)?
-        };
+        let records = decode_records(&mut seg_cur, count)?;
         // Columns have variable width, so the segment length is however
         // many bytes the record parse consumed.
         let seg_len = seg_bytes.len() - seg_cur.remaining();
@@ -307,33 +266,8 @@ pub fn decode_checkpoint(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
     Ok(Checkpoint { wal_seq, shards })
 }
 
-fn decode_records_v1(
-    seg_cur: &mut &[u8],
-    count: usize,
-) -> Result<Vec<UserRecord>, CheckpointError> {
-    if count > seg_cur.remaining() / RECORD_BYTES {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let uid = UserId(seg_cur.get_u64());
-        let k = seg_cur.get_u32();
-        let a_min = seg_cur.get_f64();
-        let x = seg_cur.get_f64();
-        let y = seg_cur.get_f64();
-        if !a_min.is_finite() || !x.is_finite() || !y.is_finite() {
-            return Err(CheckpointError::Malformed);
-        }
-        records.push((uid, Profile::new(k, a_min), Point::new(x, y)));
-    }
-    Ok(records)
-}
-
-fn decode_records_v2(
-    seg_cur: &mut &[u8],
-    count: usize,
-) -> Result<Vec<UserRecord>, CheckpointError> {
-    if count > seg_cur.remaining() / MIN_RECORD_BYTES_V2 {
+fn decode_records(seg_cur: &mut &[u8], count: usize) -> Result<Vec<UserRecord>, CheckpointError> {
+    if count > seg_cur.remaining() / MIN_RECORD_BYTES {
         return Err(CheckpointError::Truncated);
     }
     let mut uids = Vec::with_capacity(count);
@@ -425,16 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_decode() {
-        let bytes = encode_checkpoint_v1(4242, &sample_shards());
-        let ckpt = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(ckpt.wal_seq, 4242);
-        assert_eq!(ckpt.shards, sample_shards());
-    }
-
-    #[test]
-    fn v2_is_smaller_than_v1_on_dense_uids() {
-        // Sequential uids, default a_min: the layout v2 is built for.
+    fn dense_uids_encode_in_half_a_fixed_width_row() {
+        // Sequential uids, default a_min: the layout the columns are
+        // built for.
         let shards: Vec<Vec<UserRecord>> = vec![(0..500u64)
             .map(|i| {
                 (
@@ -444,24 +371,18 @@ mod tests {
                 )
             })
             .collect()];
-        let v1 = encode_checkpoint_v1(9, &shards);
-        let v2 = encode_checkpoint(9, &shards);
-        assert_eq!(
-            decode_checkpoint(&v1).unwrap(),
-            decode_checkpoint(&v2).unwrap()
-        );
+        let bytes = encode_checkpoint(9, &shards);
         // ~18 bytes/record (1 uid + 1 k + bitmap bit + 16 position)
-        // against v1's fixed 36.
+        // against the 36 of a fixed-width u64/u32/f64/f64/f64 row.
         assert!(
-            v2.len() * 100 < v1.len() * 55,
-            "v2 ({}) should be well under 55% of v1 ({})",
-            v2.len(),
-            v1.len()
+            bytes.len() * 100 < 500 * 36 * 55,
+            "{} bytes for 500 users",
+            bytes.len()
         );
     }
 
     #[test]
-    fn v2_round_trips_extreme_values() {
+    fn extreme_values_round_trip() {
         // Descending and wrapping uid deltas, max k, subnormal a_min.
         let shards = vec![vec![
             (
@@ -498,33 +419,25 @@ mod tests {
 
     #[test]
     fn every_single_byte_corruption_is_rejected() {
-        for clean in [
-            encode_checkpoint(17, &sample_shards()),
-            encode_checkpoint_v1(17, &sample_shards()),
-        ] {
-            for i in 0..clean.len() {
-                let mut bad = clean.clone();
-                bad[i] ^= 0x10;
-                assert!(
-                    decode_checkpoint(&bad).is_err(),
-                    "corruption at byte {i} went undetected"
-                );
-            }
+        let clean = encode_checkpoint(17, &sample_shards());
+        for i in 0..clean.len() {
+            let mut bad = clean.clone();
+            bad[i] ^= 0x10;
+            assert!(
+                decode_checkpoint(&bad).is_err(),
+                "corruption at byte {i} went undetected"
+            );
         }
     }
 
     #[test]
     fn every_truncation_is_rejected() {
-        for clean in [
-            encode_checkpoint(17, &sample_shards()),
-            encode_checkpoint_v1(17, &sample_shards()),
-        ] {
-            for cut in 0..clean.len() {
-                assert!(
-                    decode_checkpoint(&clean[..cut]).is_err(),
-                    "truncation to {cut} bytes went undetected"
-                );
-            }
+        let clean = encode_checkpoint(17, &sample_shards());
+        for cut in 0..clean.len() {
+            assert!(
+                decode_checkpoint(&clean[..cut]).is_err(),
+                "truncation to {cut} bytes went undetected"
+            );
         }
     }
 
@@ -543,5 +456,19 @@ mod tests {
             decode_checkpoint(&bytes),
             Err(CheckpointError::BadChecksum)
         ));
+
+        // A version the decoder does not know — the retired row format
+        // 1 included — under a *valid* file CRC is rejected by name.
+        for version in [0u16, 1, 3] {
+            let mut bytes = encode_checkpoint(1, &sample_shards());
+            bytes[4..6].copy_from_slice(&version.to_be_bytes());
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_be_bytes());
+            assert_eq!(
+                decode_checkpoint(&bytes),
+                Err(CheckpointError::BadVersion(version))
+            );
+        }
     }
 }

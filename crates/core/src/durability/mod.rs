@@ -51,9 +51,7 @@ pub mod storage;
 pub mod verify;
 pub mod wal;
 
-pub use checkpoint::{
-    decode_checkpoint, encode_checkpoint, encode_checkpoint_v1, Checkpoint, CheckpointError,
-};
+pub use checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointError};
 pub use recover::{DurabilityConfig, DurableAnonymizer, RecoveryReport};
 pub use storage::{DirStorage, FaultPlan, MemStorage, Storage};
 pub use verify::{same_population, verify_recovery, CheckInvariants, VerifyReport};

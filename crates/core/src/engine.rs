@@ -454,32 +454,44 @@ impl ServerPlane {
         self.execute(req)
     }
 
+    /// The stale-discard decision and the region write, as one step under
+    /// both locks (callers take `seqs` first, then `server`). Deciding
+    /// under `seqs` alone and writing afterwards would let a concurrent
+    /// newer update decide *and* write in between, and the stale region
+    /// would win. Returns whether the region was applied.
+    fn apply_region(
+        seqs: &mut HashMap<u64, u64>,
+        server: &mut CasperServer,
+        handle: u64,
+        seq: u64,
+        region: Rect,
+    ) -> bool {
+        if seqs.get(&handle).is_some_and(|&newest| seq < newest) {
+            return false;
+        }
+        seqs.insert(handle, seq);
+        server.upsert_private_region(PrivateHandle(handle), region);
+        true
+    }
+
     /// Applies a batch of freshly-cloaked regions in one pass: one
     /// sequencing-lock acquisition and one server write lock for the
     /// whole batch, instead of one of each per region. Every region is
     /// minted a fresh plane-monotone sequence, so the same stale-discard
-    /// rule as [`Request::UpsertRegion`] with `seq == 0` applies. Holding
-    /// the sequence table across the server write keeps the apply order
-    /// consistent with the sequencing decision. Returns how many regions
-    /// were applied (stale ones are skipped but count as acked, matching
-    /// the per-op path).
+    /// rule as [`Request::UpsertRegion`] with `seq == 0` applies. Returns
+    /// how many regions were applied (stale ones are skipped but count as
+    /// acked, matching the per-op path).
     pub fn upsert_regions(&self, regions: impl IntoIterator<Item = (u64, Rect)>) -> usize {
-        let mut applied = 0usize;
         let mut iter = regions.into_iter().peekable();
         if iter.peek().is_none() {
             return 0;
         }
         let mut seqs = self.seqs.lock();
         let mut server = self.server.write();
+        let mut applied = 0usize;
         for (handle, region) in iter {
-            let seq = self.mint_seq();
-            match seqs.get(&handle) {
-                Some(&newest) if seq < newest => {}
-                _ => {
-                    seqs.insert(handle, seq);
-                    server.upsert_private_region(PrivateHandle(handle), region);
-                    applied += 1;
-                }
+            if Self::apply_region(&mut seqs, &mut server, handle, self.mint_seq(), region) {
+                applied += 1;
             }
         }
         applied
@@ -506,19 +518,9 @@ impl ServerPlane {
                 let seq = if seq == 0 { self.mint_seq() } else { seq };
                 let applied = {
                     let mut seqs = self.seqs.lock();
-                    match seqs.get(&handle) {
-                        Some(&newest) if seq < newest => false,
-                        _ => {
-                            seqs.insert(handle, seq);
-                            true
-                        }
-                    }
+                    let mut server = self.server.write();
+                    Self::apply_region(&mut seqs, &mut server, handle, seq, region)
                 };
-                if applied {
-                    self.server
-                        .write()
-                        .upsert_private_region(PrivateHandle(handle), region);
-                }
                 // Stale updates are acked too: the sender's newer state
                 // is already applied, so from its view the update
                 // succeeded.
@@ -530,10 +532,10 @@ impl ServerPlane {
                 }
             }
             Request::RemoveRegion { handle } => {
-                self.seqs.lock().remove(&handle);
-                self.server
-                    .write()
-                    .remove_private_region(PrivateHandle(handle));
+                let mut seqs = self.seqs.lock();
+                let mut server = self.server.write();
+                seqs.remove(&handle);
+                server.remove_private_region(PrivateHandle(handle));
                 Response::Done
             }
             Request::NnCandidates {
@@ -1777,6 +1779,69 @@ mod tests {
         // Removal clears both the region and the sequence memory.
         plane.execute(Request::RemoveRegion { handle: 1 });
         assert_eq!(plane.read().private_count(), 0);
+    }
+
+    /// Two executors race an older and a newer update for one handle, as
+    /// the reactor's pool does with a pipelined window, while a reader
+    /// keeps the server lock busy so the writers queue behind it.
+    /// Whichever order they run in, the newer region must survive: the
+    /// stale-discard decision and the region write are one step.
+    #[test]
+    fn racing_updates_for_one_handle_keep_the_newer_region() {
+        const ROUNDS: u64 = 3000;
+        let plane = ServerPlane::new(CasperServer::new(), FilterCount::Four, 1);
+        let region_of = |seq: u64| {
+            let x = (seq % 16) as f64 / 20.0;
+            Rect::from_coords(x, 0.1, x + 0.05, 0.2)
+        };
+        let upsert = |seq: u64| {
+            plane.execute(Request::UpsertRegion {
+                handle: 9,
+                seq,
+                region: region_of(seq),
+            });
+        };
+        // A spinning rendezvous releases both racers within nanoseconds of
+        // each other; a parking barrier would stagger them by a wake-up.
+        let arrivals = AtomicU64::new(0);
+        let rendezvous = |target: u64| {
+            arrivals.fetch_add(1, Ordering::SeqCst);
+            while arrivals.load(Ordering::SeqCst) < target {
+                std::hint::spin_loop();
+            }
+        };
+        let done = AtomicBool::new(false);
+        let mut first_loss = None;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    std::hint::black_box(plane.read().private_count());
+                }
+            });
+            scope.spawn(|| {
+                for i in 0..ROUNDS {
+                    rendezvous(4 * i + 2);
+                    upsert(2 * i + 1);
+                    rendezvous(4 * i + 4);
+                }
+            });
+            for i in 0..ROUNDS {
+                rendezvous(4 * i + 2);
+                upsert(2 * i + 2);
+                rendezvous(4 * i + 4);
+                // Both updates are done and the next round cannot begin
+                // before this thread reaches its rendezvous.
+                let survivor = plane.read().private_entries()[0].mbr;
+                if survivor != region_of(2 * i + 2) {
+                    first_loss.get_or_insert(i);
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(
+            first_loss, None,
+            "an older update overwrote the newer one (first in this round)"
+        );
     }
 
     #[test]

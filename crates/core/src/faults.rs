@@ -18,16 +18,14 @@
 //! exercised by the normal test suite; `--no-default-features` builds
 //! shed them.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::net::{
-    parse_header, read_full_classified, ReadOutcome, FRAME_HEADER_LEN, MAX_FRAME_LEN,
-};
+use crate::net::{parse_header, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use crate::retry::SplitMix64;
 
 /// Per-frame fault probabilities and the seed that makes them replayable.
@@ -455,6 +453,27 @@ impl Iterator for FlashCrowd {
     }
 }
 
+/// Fills `buf` from `src`, keeping progress across read timeouts so the
+/// stop flag is observed. `false` on shutdown, EOF or a socket error:
+/// all three end the pair the same way.
+fn read_full(src: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> bool {
+    let mut done = 0usize;
+    while done < buf.len() {
+        if stop.load(Ordering::Relaxed) {
+            return false;
+        }
+        match src.read(&mut buf[done..]) {
+            Ok(0) => return false,
+            Ok(n) => done += n,
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(_) => return false,
+        }
+    }
+    true
+}
+
 /// Pumps frames from `src` to `dst`, injecting faults per frame. Exits on
 /// EOF, any socket error, an injected disconnect/truncation, or shutdown.
 fn pump(
@@ -474,11 +493,7 @@ fn pump(
     };
     loop {
         let mut header = [0u8; FRAME_HEADER_LEN];
-        // Shutdown, EOF and errors all end the pair the same way.
-        if !matches!(
-            read_full_classified(&mut src, &mut header, stop),
-            Ok(ReadOutcome::Full)
-        ) {
+        if !read_full(&mut src, &mut header, stop) {
             sever(&src, &dst);
             return;
         }
@@ -493,10 +508,7 @@ fn pump(
             continue;
         }
         let mut payload = vec![0u8; len];
-        if !matches!(
-            read_full_classified(&mut src, &mut payload, stop),
-            Ok(ReadOutcome::Full)
-        ) {
+        if !read_full(&mut src, &mut payload, stop) {
             sever(&src, &dst);
             return;
         }

@@ -96,9 +96,7 @@ pub use durability::{
     MemStorage, RecoveryReport, Storage,
 };
 pub use engine::{AnonymizerService, Engine, ParallelEngine, Request, Response, WorkerPool};
-pub use net::{
-    ClientConfig, NetError, NetworkClient, NetworkServer, ServerConfig, Transport, MAX_FRAME_LEN,
-};
+pub use net::{ClientConfig, NetError, NetworkClient, NetworkServer, ServerConfig, MAX_FRAME_LEN};
 pub use overload::{
     BreakerConfig, BreakerState, BrownoutConfig, BrownoutController, BrownoutLevel, CircuitBreaker,
     Deadline, OverloadConfig, OverloadStats, Priority, Shed, ShedReason,

@@ -22,18 +22,15 @@
 //!   loses no private state.
 //!
 //! The implementation is deliberately std-only: the workspace's
-//! dependency budget has no async runtime. The default transport is the
+//! dependency budget has no async runtime. Connections are served by the
 //! event-driven reactor pool in `crate::reactor` — a few threads
 //! multiplexing every connection over non-blocking sockets, with many
 //! pipelined frames in flight per connection, executed out of order on a
-//! shared pool and replied to in request order (see [`crate::codec`]).
-//! [`Transport::Blocking`] keeps the original thread-per-connection loop
-//! as the conformance reference: both transports speak the identical
-//! framing and must be application-visibly indistinguishable (proved by
-//! `tests/pipeline_conformance.rs`). The `faults` cargo feature adds
-//! [`crate::faults`], a deterministic chaos proxy that
-//! drops/corrupts/truncates/delays these frames to prove the above under
-//! fire.
+//! shared pool and replied to in request order (see [`crate::codec`]);
+//! `tests/pipeline_conformance.rs` holds it to a strictly serial
+//! reference run. The `faults` cargo feature adds [`crate::faults`], a
+//! deterministic chaos proxy that drops/corrupts/truncates/delays these
+//! frames to prove the above under fire.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -153,7 +150,7 @@ pub(crate) fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Re
 
 /// Reads one frame, enforcing [`MAX_FRAME_LEN`] before allocating and the
 /// checksum after reading. Used by the client and the replication sender
-/// (the server has a stop-flag-aware variant in [`serve_connection`]).
+/// (the server decodes incrementally, see [`crate::codec::FrameDecoder`]).
 pub(crate) fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, NetError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     stream.read_exact(&mut header)?;
@@ -167,20 +164,6 @@ pub(crate) fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, NetError> {
         return Err(NetError::Protocol("frame checksum mismatch"));
     }
     Ok(buf)
-}
-
-/// Which connection-servicing engine a [`NetworkServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// The event-driven reactor pool (default): a few threads multiplex
-    /// every connection, each connection may have up to
-    /// [`ServerConfig::max_pipeline`] frames in flight, executed out of
-    /// order and replied to in request order with batched acks.
-    Reactor,
-    /// The original thread-per-connection blocking loop, kept as the
-    /// protocol-conformance reference (one frame in flight per
-    /// connection).
-    Blocking,
 }
 
 /// Server tuning knobs.
@@ -207,17 +190,13 @@ pub struct ServerConfig {
     /// exactly once per recovery and is stable under clock trouble.
     /// `None` (the default) mints a fresh id per spawn.
     pub boot_id: Option<u64>,
-    /// Connection-servicing engine. Defaults to [`Transport::Reactor`].
-    pub transport: Transport,
-    /// Reactor threads multiplexing the connections (reactor transport
-    /// only). Defaults to 2.
+    /// Reactor threads multiplexing the connections. Defaults to 2.
     pub reactor_threads: usize,
     /// Executor threads completing pipelined frames, shared across all
-    /// connections (reactor transport only). Defaults to 4.
+    /// connections. Defaults to 4.
     pub executor_threads: usize,
-    /// Cap on frames in flight per connection (reactor transport only);
-    /// further frames stay buffered unread — the transport's
-    /// backpressure. Defaults to 64.
+    /// Cap on frames in flight per connection; further frames stay
+    /// buffered unread — the transport's backpressure. Defaults to 64.
     pub max_pipeline: usize,
 }
 
@@ -229,7 +208,6 @@ impl Default for ServerConfig {
             max_connections: MAX_CONNECTIONS,
             metrics_http: None,
             boot_id: None,
-            transport: Transport::Reactor,
             reactor_threads: 2,
             executor_threads: 4,
             max_pipeline: 64,
@@ -237,8 +215,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Internal atomic counters shared between the accept loop and workers
-/// (both transports update the same set, with identical semantics).
+/// Internal atomic counters shared between the accept loop, the reactor
+/// threads and the executor pool.
 #[derive(Debug, Default)]
 pub(crate) struct StatsInner {
     pub(crate) accepted: AtomicU64,
@@ -310,9 +288,9 @@ impl StatsInner {
     }
 }
 
-/// Decrements the active-connection gauge when a worker exits, however it
-/// exits. The reactor transport moves the guard into the connection's
-/// reactor-side state, so teardown there deregisters identically.
+/// Decrements the active-connection gauge when dropped. The guard lives in
+/// the connection's reactor-side state, so every way a connection can end
+/// deregisters it.
 pub(crate) struct ActiveGuard(Arc<StatsInner>);
 
 impl Drop for ActiveGuard {
@@ -333,7 +311,7 @@ pub struct NetworkServer {
     stats: Arc<StatsInner>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    reactor: Option<crate::reactor::ReactorPool>,
+    reactor: crate::reactor::ReactorPool,
     metrics_http: Option<casper_telemetry::MetricsHttp>,
 }
 
@@ -371,22 +349,15 @@ impl NetworkServer {
         let plane = Arc::new(ServerPlane::new(server, filters, boot_id));
         let stats = Arc::new(StatsInner::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let (plane2, stats2, stop2) = (Arc::clone(&plane), Arc::clone(&stats), Arc::clone(&stop));
-        // The reactor pool (default transport) is spawned up front; the
-        // accept loop then only accepts, checks the cap, and hands the
-        // stream to a reactor thread.
-        let (reactor, registrar) = match config.transport {
-            Transport::Reactor => {
-                let (pool, reg) =
-                    crate::reactor::ReactorPool::spawn(&plane, &stats, &stop, &config);
-                (Some(pool), Some(reg))
-            }
-            Transport::Blocking => (None, None),
-        };
+        // The reactor pool is spawned up front; the accept loop then only
+        // accepts, checks the cap, and hands the stream to a reactor
+        // thread.
+        let (reactor, mut registrar) =
+            crate::reactor::ReactorPool::spawn(&plane, &stats, &stop, &config);
         // A short accept timeout lets the loop notice the stop flag.
         listener.set_nonblocking(true)?;
+        let (stats2, stop2) = (Arc::clone(&stats), Arc::clone(&stop));
         let accept_thread = std::thread::spawn(move || {
-            let mut registrar = registrar;
             while !stop2.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -400,37 +371,7 @@ impl NetworkServer {
                         }
                         stats2.active.fetch_add(1, Ordering::Relaxed);
                         crate::tel::net_server().active.add(1);
-                        let guard = ActiveGuard(Arc::clone(&stats2));
-                        if let Some(reg) = registrar.as_mut() {
-                            reg.register(stream, guard);
-                            continue;
-                        }
-                        let plane3 = Arc::clone(&plane2);
-                        let stats3 = Arc::clone(&stats2);
-                        let stop3 = Arc::clone(&stop2);
-                        // Blocking transport: workers are detached; they
-                        // exit on client disconnect, on a protocol
-                        // violation, or when the stop flag is raised
-                        // (observed through the read timeout), so shutdown
-                        // never blocks on an idle connection.
-                        std::thread::spawn(move || {
-                            let _guard = guard;
-                            let peer = stream
-                                .peer_addr()
-                                .map(|a| a.to_string())
-                                .unwrap_or_else(|_| String::from("<unknown>"));
-                            if let Err(e) = serve_connection(
-                                stream,
-                                &plane3,
-                                &stats3,
-                                &stop3,
-                                config.max_frame_len,
-                            ) {
-                                stats3.connection_errors.fetch_add(1, Ordering::Relaxed);
-                                crate::tel::net_server().connection_errors.inc();
-                                eprintln!("casper-net: closing connection {peer}: {e}");
-                            }
-                        });
+                        registrar.register(stream, ActiveGuard(Arc::clone(&stats2)));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -495,10 +436,9 @@ impl NetworkServer {
         f(&mut self.plane.write())
     }
 
-    /// Stops accepting, joins the accept thread, and waits for worker
-    /// threads to observe the stop flag and close their connections — so
-    /// after `shutdown` returns, the port is free and no straggler worker
-    /// is still serving a client of the "dead" server.
+    /// Stops accepting and joins the accept, reactor and executor threads
+    /// — so after `shutdown` returns, the port is free, every connection
+    /// is closed and nothing still serves a client of the "dead" server.
     pub fn shutdown(mut self) {
         self.stop_and_drain();
     }
@@ -512,20 +452,8 @@ impl NetworkServer {
             let _ = t.join();
         }
         // Reactor threads notice the stop flag within one tick and drop
-        // every connection they own; joining here guarantees the active
-        // gauge settles before the drain wait below.
-        if let Some(pool) = self.reactor.as_mut() {
-            pool.join();
-        }
-        // Workers notice the stop flag within one read-timeout tick
-        // (50 ms); a worker stuck in a slow write can take up to its
-        // write timeout, so bound the wait rather than spinning forever.
-        for _ in 0..300 {
-            if self.stats.active.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // every connection they own, which settles the active gauge.
+        self.reactor.join();
     }
 }
 
@@ -535,61 +463,14 @@ impl Drop for NetworkServer {
     }
 }
 
-/// How a [`read_full_classified`] call ended.
-pub(crate) enum ReadOutcome {
-    /// The whole buffer was filled.
-    Full,
-    /// The stop flag was raised mid-read: shut down quietly.
-    Stopped,
-    /// The peer closed the stream. `clean_boundary` is true when not a
-    /// single byte of this buffer had arrived — the disconnect fell
-    /// exactly between frames (or frame parts). A mid-buffer EOF is
-    /// *also* a clean disconnect (the client vanished between the bytes
-    /// of a frame), but callers account it separately so it is never
-    /// mistaken for a protocol violation.
-    Eof {
-        /// True when the EOF arrived before the first byte of `buf`.
-        clean_boundary: bool,
-    },
-}
-
-/// Reads exactly `buf.len()` bytes, surviving read timeouts (progress is
-/// kept across them) and honouring the stop flag, classifying how the
-/// read ended instead of erroring on an EOF.
-pub(crate) fn read_full_classified(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> Result<ReadOutcome, NetError> {
-    let mut done = 0usize;
-    while done < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(ReadOutcome::Stopped);
-        }
-        match stream.read(&mut buf[done..]) {
-            Ok(0) => {
-                return Ok(ReadOutcome::Eof {
-                    clean_boundary: done == 0,
-                })
-            }
-            Ok(n) => done += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(ReadOutcome::Full)
-}
-
 /// Executes one checksum-verified request frame against the plane and
 /// returns the encoded reply payload, with all per-frame accounting.
 ///
-/// This is the application-visible half of a connection, shared verbatim
-/// by both transports: the blocking loop calls it inline, the reactor's
-/// executor pool calls it concurrently (safe — the plane is the
-/// crate's one synchronized dispatch point, and per-handle sequence
-/// numbers make update application order-independent).
+/// This is the application-visible half of a connection: the reactor's
+/// executor pool calls it concurrently (safe — the plane is the crate's
+/// one synchronized dispatch point, and per-handle sequence numbers make
+/// update application order-independent) and the conformance harness
+/// calls it serially as the reference.
 pub(crate) fn process_frame(
     plane: &ServerPlane,
     stats: &StatsInner,
@@ -666,74 +547,6 @@ pub(crate) fn process_frame(
     Ok(encode(&reply).to_vec())
 }
 
-/// Counts a clean EOF that fell mid-frame: a normal client disconnect,
-/// never a connection error (see [`NetStats::half_frame_disconnects`]).
-fn note_half_frame_disconnect(stats: &StatsInner) {
-    stats.half_frame_disconnects.fetch_add(1, Ordering::Relaxed);
-    crate::tel::net_server().half_frame_disconnects.inc();
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    plane: &ServerPlane,
-    stats: &StatsInner,
-    stop: &AtomicBool,
-    max_frame_len: usize,
-) -> Result<(), NetError> {
-    stream.set_nodelay(true).ok();
-    // Periodic read timeouts let the worker observe the stop flag while
-    // the client is idle; the write timeout keeps a stalled client from
-    // parking the worker forever.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .ok();
-    stream.set_write_timeout(Some(Duration::from_secs(2))).ok();
-    loop {
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        match read_full_classified(&mut stream, &mut header, stop)? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Stopped
-            | ReadOutcome::Eof {
-                clean_boundary: true,
-            } => return Ok(()),
-            ReadOutcome::Eof {
-                clean_boundary: false,
-            } => {
-                // The client vanished inside a header: a normal
-                // disconnect, not a protocol violation.
-                note_half_frame_disconnect(stats);
-                return Ok(());
-            }
-        }
-        let (len, crc) = parse_header(&header);
-        if len > max_frame_len {
-            // Checked before any allocation: a frame advertising 4 GiB
-            // must not reserve 4 GiB.
-            stats.oversize_frames.fetch_add(1, Ordering::Relaxed);
-            crate::tel::net_server().oversize_frames.inc();
-            return Err(NetError::Protocol("frame length exceeds MAX_FRAME_LEN"));
-        }
-        let mut frame = vec![0u8; len];
-        match read_full_classified(&mut stream, &mut frame, stop)? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Stopped => return Ok(()),
-            ReadOutcome::Eof { .. } => {
-                // The header landed but the payload never finished: the
-                // frame was half-read when the client went away.
-                note_half_frame_disconnect(stats);
-                return Ok(());
-            }
-        }
-        if crc32(&frame) != crc {
-            stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
-            crate::tel::net_server().checksum_failures.inc();
-            return Err(NetError::Protocol("frame checksum mismatch"));
-        }
-        let reply = process_frame(plane, stats, frame)?;
-        write_frame(&mut stream, &reply)?;
-    }
-}
-
 /// Client tuning knobs: timeouts and the retry/backoff policy.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientConfig {
@@ -762,10 +575,10 @@ pub struct ClientConfig {
     /// Frames kept in flight by [`NetworkClient::push_updates`]: up to
     /// this many cloaked updates are written before their acks are read,
     /// amortizing one round trip over the whole window. `1` (the
-    /// default) reproduces lockstep write-then-read behaviour exactly
-    /// and is the bench baseline. Acks are matched positionally (the
-    /// server replies in request order on both transports), and each
-    /// ack's sequence number is checked against the request it answers.
+    /// default) is lockstep: one write, one read. Acks are matched
+    /// positionally (the server replies in request order), and each
+    /// ack's handle and sequence number are checked against the update
+    /// it answers.
     pub pipeline_window: usize,
 }
 
@@ -1018,57 +831,67 @@ impl NetworkClient {
     }
 
     /// Replays every *dirty* handle's last-known region so the server
-    /// converges to current state even after losing everything. Each
-    /// acked replay clears its handle immediately: a replay interrupted
-    /// mid-way resumes from where it stopped on the next reconnect
-    /// instead of starting over. If an ack reveals a restart mid-replay
-    /// (`note_boot`), the newly dirtied handles simply join the work
-    /// list.
+    /// converges to current state even after losing everything: one raw
+    /// attempt over the dirty set — no gate, no retry and no deadline,
+    /// because replay is background repair work, not a client-visible
+    /// operation. Each acked replay clears its handle immediately, so a
+    /// replay interrupted mid-way resumes from where it stopped on the
+    /// next reconnect instead of starting over. If an ack reveals a
+    /// restart mid-replay (`note_boot`), the newly dirtied handles get the
+    /// next pass.
     fn flush_dirty(&mut self) -> Result<(), NetError> {
-        while let Some(&handle) = self.dirty.iter().next() {
-            let Some(&(seq, region)) = self.last_known.get(&handle) else {
-                self.dirty.remove(&handle);
-                continue;
-            };
-            let msg = Message::CloakedUpdate {
-                handle,
-                seq,
-                region,
-            };
-            // Replay is background repair work, not a client-visible
-            // operation: it carries no deadline.
-            match self.transact(&msg, None) {
-                Ok(Message::UpdateAck {
-                    boot_id,
-                    handle: acked,
-                    ..
-                }) if acked == handle => {
-                    self.note_boot(boot_id);
-                    self.dirty.remove(&handle);
-                    self.stats.replayed_regions += 1;
-                    crate::tel::record_client_replay();
-                }
-                Ok(_) => {
-                    self.drop_stream();
-                    return Err(NetError::Protocol("unexpected replay ack"));
-                }
-                Err(e) => {
-                    self.drop_stream();
-                    return Err(e);
-                }
+        while !self.dirty.is_empty() {
+            let msgs: Vec<Message> = self
+                .dirty
+                .iter()
+                .map(|handle| {
+                    // `dirty` only ever holds tracked handles: `forget`
+                    // clears both sets.
+                    let (seq, region) = self.last_known[handle];
+                    Message::CloakedUpdate {
+                        handle: *handle,
+                        seq,
+                        region,
+                    }
+                })
+                .collect();
+            let mut answered = 0;
+            let outcome = self.attempt(&msgs, &mut answered, None, &mut Vec::new());
+            self.stats.replayed_regions += answered as u64;
+            crate::tel::record_client_replay(answered as u64);
+            if let Err(e) = outcome {
+                self.drop_stream();
+                // A shed replay is a failed repair, not the answer to the
+                // caller's operation: report it like any other broken
+                // exchange so the caller backs off and retries.
+                return Err(match e {
+                    NetError::Overloaded { .. } => NetError::Protocol("replay was shed"),
+                    e => e,
+                });
             }
         }
         Ok(())
     }
 
-    /// One request/response exchange on the live stream (no retry). The
-    /// remaining deadline budget, if any, is stamped into the outgoing
-    /// frame's record padding so the server can shed doomed work.
-    fn transact(&mut self, msg: &Message, deadline: Option<Instant>) -> Result<Message, NetError> {
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or(NetError::Protocol("not connected"))?;
+    /// One attempt at `msgs[*answered..]` on the live stream, no retry:
+    /// keeps up to [`Self::pipeline_window`] frames written ahead of the
+    /// replies it reads back and advances `*answered` past every request
+    /// whose reply arrived, so a retry resends exactly the unanswered
+    /// suffix. The server replies in request order, so each reply must
+    /// answer the oldest in-flight request: update acks are absorbed into
+    /// the replay bookkeeping here, payload-carrying replies are appended
+    /// to `replies`. The remaining deadline budget and the calling
+    /// thread's span context are stamped into every outgoing frame's
+    /// record padding, so the server can shed doomed work and graft its
+    /// spans onto this trace.
+    fn attempt(
+        &mut self,
+        msgs: &[Message],
+        answered: &mut usize,
+        deadline: Option<Instant>,
+        replies: &mut Vec<Message>,
+    ) -> Result<(), NetError> {
+        let window = self.pipeline_window();
         let budget_ms = match deadline {
             None => 0,
             Some(d) => {
@@ -1076,28 +899,67 @@ impl NetworkClient {
                 (left.as_millis() as u64).max(1)
             }
         };
-        let payload = encode_with_budget(msg, budget_ms);
-        // The calling thread's span context rides the same padding as the
-        // budget, so the server can graft its spans onto this trace.
-        let payload = match crate::tel::span_current() {
-            Some(ctx) => crate::wire::stamp_trace(
-                payload,
-                &crate::wire::TraceContext {
-                    trace_id: ctx.trace_id,
-                    parent_span: ctx.span_id,
-                    sampled: ctx.sampled,
-                },
-            ),
-            None => payload,
-        };
-        write_frame(stream, &payload)?;
-        let frame = read_frame(stream)?;
-        Ok(decode(Bytes::from(frame))?)
-    }
-
-    fn try_once(&mut self, msg: &Message, deadline: Option<Instant>) -> Result<Message, NetError> {
-        self.ensure_connected()?;
-        self.transact(msg, deadline)
+        let trace = crate::tel::span_current().map(|ctx| crate::wire::TraceContext {
+            trace_id: ctx.trace_id,
+            parent_span: ctx.span_id,
+            sampled: ctx.sampled,
+        });
+        let mut sent = *answered;
+        while *answered < msgs.len() {
+            let stream = self
+                .stream
+                .as_mut()
+                .ok_or(NetError::Protocol("not connected"))?;
+            // Keep the window full before blocking on a reply.
+            while sent < msgs.len() && sent - *answered < window {
+                let payload = encode_with_budget(&msgs[sent], budget_ms);
+                let payload = match &trace {
+                    Some(tc) => crate::wire::stamp_trace(payload, tc),
+                    None => payload,
+                };
+                write_frame(stream, &payload)?;
+                sent += 1;
+            }
+            let reply = decode(Bytes::from(read_frame(stream)?))?;
+            match (&msgs[*answered], reply) {
+                (_, Message::Overloaded { retry_after_ms }) => {
+                    // The shed answers this request completely, but the
+                    // replies to the frames written behind it are still in
+                    // flight: kept, the stream would pair them with the
+                    // next exchange's requests.
+                    if sent - *answered > 1 {
+                        self.drop_stream();
+                    }
+                    return Err(NetError::Overloaded {
+                        retry_after: Duration::from_millis(retry_after_ms),
+                    });
+                }
+                // Both the handle and the seq must echo the update. A
+                // middlebox that swallows one frame shifts every later ack
+                // left; the handle check catches that even when
+                // neighbouring updates happen to share a seq.
+                (
+                    Message::CloakedUpdate { handle, seq, .. },
+                    Message::UpdateAck {
+                        boot_id,
+                        handle: acked,
+                        seq: acked_seq,
+                    },
+                ) if acked == *handle && acked_seq == *seq => {
+                    self.note_boot(boot_id);
+                    self.dirty.remove(handle);
+                }
+                (Message::CloakedQuery { .. }, reply @ Message::Candidates(_))
+                | (Message::MetricsRequest, reply @ Message::MetricsText(_)) => replies.push(reply),
+                _ => {
+                    return Err(NetError::Protocol(
+                        "reply does not answer the oldest in-flight request",
+                    ))
+                }
+            }
+            *answered += 1;
+        }
+        Ok(())
     }
 
     /// Worst-case wall-clock cost of one more attempt: a reconnect plus a
@@ -1106,19 +968,20 @@ impl NetworkClient {
         self.config.connect_timeout + self.config.read_timeout + self.config.write_timeout
     }
 
-    /// Runs one exchange under the retry policy. Any failure drops the
+    /// Runs `msgs` as one exchange under the retry policy and returns the
+    /// payload-carrying replies in request order. Any failure drops the
     /// stream (the next attempt reconnects and replays), sleeps the
-    /// backoff, and tries again. Safe for every message kind: queries are
-    /// read-only and updates are idempotent under their sequence number.
+    /// backoff, and resends what is still unanswered. Safe for every
+    /// message kind: queries are read-only and updates are idempotent
+    /// under their sequence number.
     ///
     /// Deadline-aware: retries stop with [`NetError::GaveUp`] as soon as
     /// the remaining budget cannot cover the backoff sleep plus another
-    /// attempt's worst-case timeouts. Breaker-aware:
-    /// an open breaker fast-fails without touching the socket, and an
-    /// `Overloaded` reply from the server surfaces immediately as
-    /// [`NetError::Overloaded`] — retrying into a shedding server only
-    /// deepens its queues.
-    fn round_trip(&mut self, msg: &Message) -> Result<Message, NetError> {
+    /// attempt's worst-case timeouts. Breaker-aware: an open breaker
+    /// fast-fails without touching the socket, and an `Overloaded` reply
+    /// from the server surfaces immediately as [`NetError::Overloaded`] —
+    /// retrying into a shedding server only deepens its queues.
+    fn exchange(&mut self, msgs: &[Message]) -> Result<Vec<Message>, NetError> {
         if let Some(b) = self.breaker.as_mut() {
             if let Err(retry_after) = b.check(Instant::now()) {
                 self.stats.breaker_fast_fails += 1;
@@ -1140,6 +1003,8 @@ impl NetworkClient {
         let deadline = self
             .deadline
             .or_else(|| self.config.request_budget.map(|b| Instant::now() + b));
+        let mut replies = Vec::new();
+        let mut answered = 0usize;
         let mut last_err = NetError::Protocol("retry budget exhausted");
         for attempt in 0..self.config.retry.attempts() {
             if attempt > 0 {
@@ -1174,18 +1039,32 @@ impl NetworkClient {
             if attempt_span.is_active() && attempt > 0 {
                 attempt_span.set_detail(format!("attempt={attempt}"));
             }
-            let attempt_result = self.try_once(msg, deadline);
-            attempt_span.set_outcome(match &attempt_result {
-                Ok(Message::Overloaded { .. }) => "overloaded",
-                Ok(_) => "ok",
+            let outcome = self
+                .ensure_connected()
+                .and_then(|()| self.attempt(msgs, &mut answered, deadline, &mut replies));
+            attempt_span.set_outcome(match &outcome {
+                Ok(()) => "ok",
+                Err(NetError::Overloaded { .. }) => "overloaded",
                 Err(_) => "error",
             });
             drop(attempt_span);
-            match attempt_result {
-                Ok(Message::Overloaded { retry_after_ms }) => {
+            match outcome {
+                Ok(()) => {
+                    if let Some(b) = self.breaker.as_mut() {
+                        b.record_success();
+                    }
+                    // An ack that betrayed a server restart left the other
+                    // tracked regions dirty: replay them now, best-effort
+                    // — anything still dirty is retried by the next
+                    // operation.
+                    let _ = self.flush_dirty();
+                    return Ok(replies);
+                }
+                Err(e @ NetError::Overloaded { .. }) => {
                     // An explicit shed is a *complete* answer: surface it
                     // without retrying, and let the breaker learn that the
-                    // peer is saturated.
+                    // peer is saturated. (`attempt` has already decided
+                    // whether the stream survives it.)
                     self.stats.overloaded_replies += 1;
                     if let Some(b) = self.breaker.as_mut() {
                         b.record_failure(Instant::now());
@@ -1194,15 +1073,7 @@ impl NetworkClient {
                     // just be a standby that has not promoted yet: point
                     // the *next* operation at the other endpoint.
                     self.fail_over();
-                    return Err(NetError::Overloaded {
-                        retry_after: Duration::from_millis(retry_after_ms),
-                    });
-                }
-                Ok(reply) => {
-                    if let Some(b) = self.breaker.as_mut() {
-                        b.record_success();
-                    }
-                    return Ok(reply);
+                    return Err(e);
                 }
                 Err(e) => {
                     if let Some(b) = self.breaker.as_mut() {
@@ -1224,80 +1095,23 @@ impl NetworkClient {
     /// disconnects. The region is remembered for replay-on-reconnect
     /// until overwritten by a newer update or [`NetworkClient::forget`].
     pub fn push_update(&mut self, handle: PrivateHandle, region: Rect) -> Result<(), NetError> {
-        let seq = self
-            .last_known
-            .get(&handle.0)
-            .map_or(1, |&(newest, _)| newest + 1);
-        self.last_known.insert(handle.0, (seq, region));
-        match self.round_trip(&Message::CloakedUpdate {
-            handle: handle.0,
-            seq,
-            region,
-        })? {
-            Message::UpdateAck {
-                boot_id,
-                handle: acked,
-                ..
-            } if acked == handle.0 => {
-                let restarted = self.note_boot(boot_id);
-                // The op itself delivered the newest region.
-                self.dirty.remove(&handle.0);
-                if restarted {
-                    // The ack exposed a server restart: replay the other
-                    // tracked regions now, best-effort — anything left
-                    // dirty is retried by the next operation.
-                    let _ = self.flush_dirty();
-                }
-                Ok(())
-            }
-            _ => Err(NetError::Protocol("unexpected ack")),
-        }
+        self.push_updates(&[(handle, region)])
     }
 
     /// Pushes a batch of cloaked updates with up to
     /// [`ClientConfig::pipeline_window`] frames in flight, amortizing one
     /// round trip over the whole window instead of paying one per update.
     ///
-    /// Application-visible behaviour is identical to calling
-    /// [`NetworkClient::push_update`] per element (and with a window of 1
-    /// that is literally what runs): sequence numbers are assigned in
-    /// batch order, acks are matched positionally with their echoed
-    /// sequence checked, a boot-id change observed mid-window triggers
-    /// the same dirty-replay, and on a transport error the retry loop
+    /// Sequence numbers are assigned (and the replay set updated) up
+    /// front, in batch order; every ack must echo the handle and sequence
+    /// of the update it answers, a boot-id change observed in an ack
+    /// triggers the dirty-replay, and on a transport error the retry loop
     /// reconnects and resends exactly the unacked suffix — safe because
     /// updates are idempotent under their per-handle sequence numbers.
     pub fn push_updates(&mut self, updates: &[(PrivateHandle, Rect)]) -> Result<(), NetError> {
         if updates.is_empty() {
             return Ok(());
         }
-        let window = self.pipeline_window();
-        if window == 1 {
-            // Lockstep baseline: exactly today's per-op behaviour.
-            for &(handle, region) in updates {
-                self.push_update(handle, region)?;
-            }
-            return Ok(());
-        }
-        if let Some(b) = self.breaker.as_mut() {
-            if let Err(retry_after) = b.check(Instant::now()) {
-                self.stats.breaker_fast_fails += 1;
-                crate::tel::record_breaker("fast_fail");
-                return Err(NetError::Overloaded { retry_after });
-            }
-        }
-        if let Some(d) = self.deadline {
-            if d <= Instant::now() {
-                self.stats.gave_up += 1;
-                return Err(NetError::GaveUp {
-                    remaining_budget: Duration::ZERO,
-                });
-            }
-        }
-        let deadline = self
-            .deadline
-            .or_else(|| self.config.request_budget.map(|b| Instant::now() + b));
-        // Sequence numbers are assigned (and the replay set updated) up
-        // front, exactly as push_update does per op.
         let msgs: Vec<Message> = updates
             .iter()
             .map(|&(handle, region)| {
@@ -1313,191 +1127,7 @@ impl NetworkClient {
                 }
             })
             .collect();
-        let mut acked = 0usize;
-        let mut restarted = false;
-        let mut last_err = NetError::Protocol("retry budget exhausted");
-        for attempt in 0..self.config.retry.attempts() {
-            if attempt > 0 {
-                if attempt == 1 {
-                    self.stats.retries += 1;
-                    crate::tel::record_client_retry();
-                    if let Some(ctx) = crate::tel::span_current() {
-                        crate::tel::span_flag(ctx.trace_id);
-                    }
-                }
-                let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                match self.config.retry.delay_within(
-                    attempt - 1,
-                    remaining,
-                    self.attempt_cost(),
-                    &mut self.jitter,
-                ) {
-                    Some(delay) => std::thread::sleep(delay),
-                    None => {
-                        self.stats.gave_up += 1;
-                        return Err(NetError::GaveUp {
-                            remaining_budget: remaining.unwrap_or_default(),
-                        });
-                    }
-                }
-            }
-            let (n, outcome) =
-                self.pipelined_attempt(&msgs[acked..], window, deadline, &mut restarted);
-            acked += n;
-            match outcome {
-                Ok(()) => {
-                    if let Some(b) = self.breaker.as_mut() {
-                        b.record_success();
-                    }
-                    if restarted {
-                        // An ack mid-window betrayed a server restart:
-                        // replay the other tracked regions now,
-                        // best-effort — anything left dirty is retried by
-                        // the next operation (same as push_update).
-                        let _ = self.flush_dirty();
-                    }
-                    return Ok(());
-                }
-                Err(e @ NetError::Overloaded { .. }) => {
-                    // An explicit shed is a complete answer: surface it
-                    // without retrying (see round_trip). Unlike the
-                    // lockstep path the stream cannot be kept: up to
-                    // `window - 1` replies to the aborted window are
-                    // still in flight, and reusing the connection would
-                    // pair them with the *next* batch's requests.
-                    self.stats.overloaded_replies += 1;
-                    if let Some(b) = self.breaker.as_mut() {
-                        b.record_failure(Instant::now());
-                    }
-                    self.drop_stream();
-                    self.fail_over();
-                    return Err(e);
-                }
-                Err(e) => {
-                    if let Some(b) = self.breaker.as_mut() {
-                        b.record_failure(Instant::now());
-                        if b.state() == crate::overload::BreakerState::Open {
-                            crate::tel::record_breaker("open");
-                        }
-                    }
-                    self.drop_stream();
-                    self.fail_over();
-                    last_err = e;
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// One pipelined exchange attempt over the live stream: writes up to
-    /// `window` frames ahead of the acks it reads back. Returns how many
-    /// messages were acked alongside the outcome, so the retry loop
-    /// resends exactly the unacked suffix — the acked prefix is never
-    /// written twice.
-    fn pipelined_attempt(
-        &mut self,
-        msgs: &[Message],
-        window: usize,
-        deadline: Option<Instant>,
-        restarted: &mut bool,
-    ) -> (usize, Result<(), NetError>) {
-        if let Err(e) = self.ensure_connected() {
-            return (0, Err(e));
-        }
-        let budget_ms = match deadline {
-            None => 0,
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                (left.as_millis() as u64).max(1)
-            }
-        };
-        let mut sent = 0usize;
-        let mut acked = 0usize;
-        while acked < msgs.len() {
-            // Keep the window full before blocking on an ack.
-            while sent < msgs.len() && sent - acked < window {
-                let payload = encode_with_budget(&msgs[sent], budget_ms);
-                let payload = match crate::tel::span_current() {
-                    Some(ctx) => crate::wire::stamp_trace(
-                        payload,
-                        &crate::wire::TraceContext {
-                            trace_id: ctx.trace_id,
-                            parent_span: ctx.span_id,
-                            sampled: ctx.sampled,
-                        },
-                    ),
-                    None => payload,
-                };
-                let Some(stream) = self.stream.as_mut() else {
-                    return (acked, Err(NetError::Protocol("not connected")));
-                };
-                if let Err(e) = write_frame(stream, &payload) {
-                    return (acked, Err(e.into()));
-                }
-                sent += 1;
-            }
-            // Acks come back in request order (the server replies in
-            // request order on both transports): match positionally and
-            // cross-check the echoed sequence number.
-            let frame = {
-                let Some(stream) = self.stream.as_mut() else {
-                    return (acked, Err(NetError::Protocol("not connected")));
-                };
-                match read_frame(stream) {
-                    Ok(f) => f,
-                    Err(e) => return (acked, Err(e)),
-                }
-            };
-            let reply = match decode(Bytes::from(frame)) {
-                Ok(m) => m,
-                Err(e) => return (acked, Err(e.into())),
-            };
-            match reply {
-                Message::UpdateAck {
-                    boot_id,
-                    handle: acked_handle,
-                    seq,
-                } => {
-                    let Message::CloakedUpdate {
-                        handle,
-                        seq: sent_seq,
-                        ..
-                    } = msgs[acked]
-                    else {
-                        return (
-                            acked,
-                            Err(NetError::Protocol("pipelined non-update message")),
-                        );
-                    };
-                    // Both the handle and the seq must echo the oldest
-                    // in-flight update. A middlebox that swallows one
-                    // frame shifts every later ack left; the handle
-                    // check catches that even when neighbouring updates
-                    // happen to share a seq.
-                    if acked_handle != handle || seq != sent_seq {
-                        return (
-                            acked,
-                            Err(NetError::Protocol(
-                                "pipelined ack does not match oldest in-flight update",
-                            )),
-                        );
-                    }
-                    *restarted |= self.note_boot(boot_id);
-                    self.dirty.remove(&handle);
-                    acked += 1;
-                }
-                Message::Overloaded { retry_after_ms } => {
-                    return (
-                        acked,
-                        Err(NetError::Overloaded {
-                            retry_after: Duration::from_millis(retry_after_ms),
-                        }),
-                    );
-                }
-                _ => return (acked, Err(NetError::Protocol("unexpected pipelined ack"))),
-            }
-        }
-        (acked, Ok(()))
+        self.exchange(&msgs).map(drop)
     }
 
     /// Runs a cloaked NN query, returning the candidate list. Retries
@@ -1507,8 +1137,11 @@ impl NetworkClient {
         pseudonym: u64,
         region: Rect,
     ) -> Result<Vec<casper_index::Entry>, NetError> {
-        match self.round_trip(&Message::CloakedQuery { pseudonym, region })? {
-            Message::Candidates(list) => Ok(list),
+        match self
+            .exchange(&[Message::CloakedQuery { pseudonym, region }])?
+            .pop()
+        {
+            Some(Message::Candidates(list)) => Ok(list),
             _ => Err(NetError::Protocol("expected a candidate list")),
         }
     }
@@ -1517,8 +1150,8 @@ impl NetworkClient {
     /// (the in-band alternative to the HTTP listener). Retries through
     /// disconnects like every other operation.
     pub fn fetch_metrics(&mut self) -> Result<String, NetError> {
-        match self.round_trip(&Message::MetricsRequest)? {
-            Message::MetricsText(page) => Ok(page),
+        match self.exchange(&[Message::MetricsRequest])?.pop() {
+            Some(Message::MetricsText(page)) => Ok(page),
             _ => Err(NetError::Protocol("expected a metrics page")),
         }
     }
@@ -1862,67 +1495,36 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    fn spawn_transport(server: CasperServer, transport: Transport) -> NetworkServer {
-        NetworkServer::spawn_with(
-            server,
-            FilterCount::Four,
-            ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn blocking_transport_still_round_trips() {
-        // The thread-per-connection path stays alive as the conformance
-        // reference; it must keep serving real traffic.
-        let server = spawn_transport(server_with_targets(100), Transport::Blocking);
-        let mut client = NetworkClient::connect(server.addr()).unwrap();
-        let region = Rect::from_coords(0.42, 0.42, 0.58, 0.58);
-        let list = client.query_nn(1, region).unwrap();
-        assert!(!list.is_empty());
-        client
-            .push_update(PrivateHandle(7), Rect::from_coords(0.1, 0.1, 0.2, 0.2))
-            .unwrap();
-        assert_eq!(server.with_server(|s| s.private_count()), 1);
-        server.shutdown();
-    }
-
     #[test]
     fn half_frame_disconnect_is_not_a_protocol_error() {
         // A peer that dies mid-frame (header sent, payload truncated)
         // was a normal disconnect all along — it must land in the
-        // dedicated half-frame counter, not in connection_errors, on
-        // both transports.
-        for transport in [Transport::Reactor, Transport::Blocking] {
-            let server = spawn_transport(server_with_targets(10), transport);
-            let payload = encode(&Message::CloakedQuery {
-                pseudonym: 1,
-                region: Rect::from_coords(0.4, 0.4, 0.6, 0.6),
-            });
-            let mut header = [0u8; FRAME_HEADER_LEN];
-            header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-            header[4..].copy_from_slice(&crc32(&payload).to_be_bytes());
-            let mut raw = TcpStream::connect(server.addr()).unwrap();
-            raw.write_all(&header).unwrap();
-            raw.write_all(&payload[..payload.len() / 2]).unwrap();
-            raw.flush().unwrap();
-            drop(raw);
-            assert!(
-                eventually(|| server.stats().half_frame_disconnects == 1),
-                "half-frame disconnect not classified ({transport:?}): {:?}",
-                server.stats()
-            );
-            let stats = server.stats();
-            assert_eq!(
-                stats.connection_errors, 0,
-                "half frame miscounted as connection error ({transport:?})"
-            );
-            assert_eq!(stats.protocol_errors, 0, "{transport:?}");
-            server.shutdown();
-        }
+        // dedicated half-frame counter, not in connection_errors.
+        let server = NetworkServer::spawn(server_with_targets(10), FilterCount::Four).unwrap();
+        let payload = encode(&Message::CloakedQuery {
+            pseudonym: 1,
+            region: Rect::from_coords(0.4, 0.4, 0.6, 0.6),
+        });
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        header[4..].copy_from_slice(&crc32(&payload).to_be_bytes());
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(&header).unwrap();
+        raw.write_all(&payload[..payload.len() / 2]).unwrap();
+        raw.flush().unwrap();
+        drop(raw);
+        assert!(
+            eventually(|| server.stats().half_frame_disconnects == 1),
+            "half-frame disconnect not classified: {:?}",
+            server.stats()
+        );
+        let stats = server.stats();
+        assert_eq!(
+            stats.connection_errors, 0,
+            "half frame miscounted as connection error"
+        );
+        assert_eq!(stats.protocol_errors, 0);
+        server.shutdown();
     }
 
     #[test]
@@ -1931,7 +1533,7 @@ mod tests {
         // window-1 lockstep client leaves identical server state.
         let mut finals = Vec::new();
         for window in [1usize, 16] {
-            let server = spawn_transport(CasperServer::new(), Transport::Reactor);
+            let server = NetworkServer::spawn(CasperServer::new(), FilterCount::Four).unwrap();
             let mut client = NetworkClient::with_config(
                 server.addr(),
                 ClientConfig {

@@ -263,47 +263,23 @@ impl RemoteLink {
         let _ = self.flush();
     }
 
-    /// Delivers queued cloaked updates until the buffer is empty or the
-    /// transport fails. Returns how many were flushed.
-    ///
-    /// With a pipelined client ([`ClientConfig::pipeline_window`] > 1)
-    /// the whole buffer ships as one pipelined batch — a window of
-    /// frames in flight, acks streaming back — instead of one
-    /// write/read round-trip per entry. A failed batch leaves every
+    /// Delivers every queued cloaked update as one batch — up to
+    /// [`ClientConfig::pipeline_window`] frames in flight, acks streaming
+    /// back. Returns how many were flushed. A failed batch leaves every
     /// entry queued; re-delivery later (with fresh per-handle seqs) is
     /// idempotent, so over-delivery is safe and under-delivery is
     /// retried.
     fn flush(&mut self) -> Result<usize, NetError> {
         self.expire_stale();
-        if self.net.pipeline_window() > 1 {
-            let batch: Vec<(PrivateHandle, Rect)> = self
-                .pending
-                .iter()
-                .map(|(&handle, &(region, _))| (PrivateHandle(handle), region))
-                .collect();
-            let result = match self.net.push_updates(&batch) {
-                Ok(()) => {
-                    for (handle, _) in &batch {
-                        self.pending.remove(&handle.0);
-                    }
-                    Ok(batch.len())
-                }
-                Err(e) => Err(e),
-            };
-            crate::tel::record_pending_depth(self.pending.len());
-            return result;
-        }
-        let mut flushed = 0usize;
-        let result = loop {
-            let Some((&handle, &(region, _))) = self.pending.iter().next() else {
-                break Ok(flushed);
-            };
-            if let Err(e) = self.net.push_update(PrivateHandle(handle), region) {
-                break Err(e);
-            }
-            self.pending.remove(&handle);
-            flushed += 1;
-        };
+        let batch: Vec<(PrivateHandle, Rect)> = self
+            .pending
+            .iter()
+            .map(|(&handle, &(region, _))| (PrivateHandle(handle), region))
+            .collect();
+        let result = self.net.push_updates(&batch).map(|()| {
+            self.pending.clear();
+            batch.len()
+        });
         crate::tel::record_pending_depth(self.pending.len());
         result
     }

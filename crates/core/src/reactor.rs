@@ -16,16 +16,15 @@
 //!
 //! * the owning **reactor thread** does all socket I/O and owns the
 //!   [`PipelineMachine`] (framing, slot assignment, reply reordering);
-//! * the shared **executor pool** runs [`process_frame`] — the identical
-//!   budget/trace/decode/execute/encode path the blocking transport
-//!   uses — and sends completions back, in whatever order they finish;
+//! * the shared **executor pool** runs [`process_frame`] — the
+//!   budget/trace/decode/execute/encode path the conformance harness
+//!   also runs serially — and sends completions back, in whatever order
+//!   they finish;
 //! * the machine releases replies strictly in request order, batching
 //!   every contiguous completed prefix into one write.
 //!
-//! Error accounting matches the blocking transport counter for counter
-//! (see `NetStats`); the one deliberate divergence is shared with it: a
-//! clean EOF mid-frame is a normal client disconnect, not a connection
-//! error.
+//! Every way a connection can end is accounted in `NetStats`; a clean
+//! EOF mid-frame is a normal client disconnect, not a connection error.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -158,16 +157,14 @@ struct Conn {
     _guard: ActiveGuard,
 }
 
-/// Why a connection was closed, for parity with the blocking
-/// transport's accounting.
+/// Why a connection was closed.
 enum Close {
     /// Clean disconnect at a frame boundary: no accounting.
     Clean,
     /// Clean EOF mid-frame: a normal disconnect, counted separately so
     /// it never triggers connection-error quarantine.
     HalfFrame,
-    /// A protocol violation or I/O failure: counted and logged exactly
-    /// like a blocking-transport connection error.
+    /// A protocol violation or I/O failure: counted and logged.
     Error(NetError),
 }
 
@@ -359,8 +356,8 @@ impl ReactorThread {
 }
 
 /// Bumps the per-kind counter for a decoder error and converts it to the
-/// equivalent blocking-transport [`NetError`]. A free function so it can
-/// run while a connection is mutably borrowed from the reactor's map.
+/// [`NetError`] the connection dies with. A free function so it can run
+/// while a connection is mutably borrowed from the reactor's map.
 fn account_frame_error(stats: &StatsInner, e: FrameError) -> NetError {
     match e {
         FrameError::Oversize { .. } => {

@@ -8,18 +8,18 @@
 //!
 //! ```text
 //! magic "CSPR" | version u16 | public count u32 | private count u32 |
-//! public records... | private records... | crc u32 (version ≥ 2)
+//! public records... | private records... | crc u32
 //! ```
 //!
 //! Every record is `id u64 | rect 4 x f64 | pad`, 64 bytes, so
 //! `snapshot.len() ≈ 8 + 64 * (objects)` and the transmission model can
 //! price a snapshot transfer directly.
 //!
-//! Version 2 (current) appends a CRC-32 trailer over everything before
-//! it — same polynomial as the §7 wire frames and the durability WAL —
-//! so a snapshot corrupted at rest or in transit is rejected with
-//! [`SnapshotError::BadChecksum`] instead of silently restoring wrong
-//! regions. Version 1 snapshots (no trailer) still load.
+//! The CRC-32 trailer covers everything before it — same polynomial as
+//! the §7 wire frames and the durability WAL — so a snapshot corrupted at
+//! rest or in transit is rejected with [`SnapshotError::BadChecksum`]
+//! instead of silently restoring wrong regions. The format is version 2,
+//! the only one loaded.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use casper_geometry::{Point, Rect};
@@ -29,9 +29,7 @@ use crate::wire::RECORD_BYTES;
 use crate::{CasperServer, PrivateHandle};
 
 const MAGIC: &[u8; 4] = b"CSPR";
-/// Legacy format: no integrity trailer.
-const VERSION_1: u16 = 1;
-/// Current format: CRC-32 trailer over the whole preceding buffer.
+/// The format version: CRC-32 trailer over the whole preceding buffer.
 const VERSION: u16 = 2;
 
 /// Snapshot decoding errors.
@@ -103,9 +101,8 @@ pub fn save(server: &CasperServer) -> Bytes {
     buf.freeze()
 }
 
-/// Restores a server from a snapshot buffer. Version 2 snapshots are
-/// checksum-gated before any record is parsed; version 1 (pre-trailer)
-/// snapshots still load.
+/// Restores a server from a snapshot buffer, checksum-gated before any
+/// record is parsed.
 pub fn load(bytes: Bytes) -> Result<CasperServer, SnapshotError> {
     if bytes.remaining() < 14 {
         return Err(SnapshotError::Truncated);
@@ -114,21 +111,18 @@ pub fn load(bytes: Bytes) -> Result<CasperServer, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = u16::from_be_bytes([bytes[4], bytes[5]]);
-    let mut bytes = match version {
-        VERSION_1 => bytes,
-        VERSION => {
-            if bytes.len() < 18 {
-                return Err(SnapshotError::Truncated);
-            }
-            let split = bytes.len() - 4;
-            let stored = u32::from_be_bytes(bytes[split..].try_into().expect("4 bytes"));
-            if crate::net::crc32(&bytes[..split]) != stored {
-                return Err(SnapshotError::BadChecksum);
-            }
-            bytes.slice(0..split)
-        }
-        v => return Err(SnapshotError::BadVersion(v)),
-    };
+    if version != VERSION {
+        return Err(SnapshotError::BadVersion(version));
+    }
+    if bytes.len() < 18 {
+        return Err(SnapshotError::Truncated);
+    }
+    let split = bytes.len() - 4;
+    let stored = u32::from_be_bytes(bytes[split..].try_into().expect("4 bytes"));
+    if crate::net::crc32(&bytes[..split]) != stored {
+        return Err(SnapshotError::BadChecksum);
+    }
+    let mut bytes = bytes.slice(0..split);
     bytes.advance(6); // past magic + version
     let public = bytes.get_u32() as usize;
     let private = bytes.get_u32() as usize;
@@ -215,13 +209,15 @@ mod tests {
         let mut bad = BytesMut::from(&good[..]);
         bad[0] = b'X';
         assert!(matches!(load(bad.freeze()), Err(SnapshotError::BadMagic)));
-        // Wrong version.
-        let mut bad = BytesMut::from(&good[..]);
-        bad[5] = 99;
-        assert!(matches!(
-            load(bad.freeze()),
-            Err(SnapshotError::BadVersion(_))
-        ));
+        // Wrong version — the retired trailer-less format 1 included.
+        for version in [1u8, 99] {
+            let mut bad = BytesMut::from(&good[..]);
+            bad[5] = version;
+            assert_eq!(
+                load(bad.freeze()).map(|_| ()),
+                Err(SnapshotError::BadVersion(u16::from(version)))
+            );
+        }
         // Truncated: the shifted CRC window can no longer match.
         let cut = good.slice(0..good.len() - 10);
         assert!(load(cut).is_err());
@@ -242,20 +238,6 @@ mod tests {
             let err = load(bad.freeze()).map(|_| ()).unwrap_err();
             assert_eq!(err, SnapshotError::BadChecksum, "flip at byte {idx}");
         }
-    }
-
-    #[test]
-    fn version_1_snapshots_still_load() {
-        // A v1 snapshot is the v2 bytes minus the trailer, with the
-        // version field rewritten — exactly what old servers produced.
-        let s = populated_server(5);
-        let v2 = save(&s);
-        let mut v1 = BytesMut::from(&v2[..v2.len() - 4]);
-        v1[4] = 0;
-        v1[5] = 1;
-        let restored = load(v1.freeze()).unwrap();
-        assert_eq!(restored.public_count(), 200);
-        assert_eq!(restored.private_count(), 50);
     }
 
     #[test]

@@ -243,13 +243,13 @@ pub(crate) fn record_client_retry() {
     .inc();
 }
 
-/// Counts one replayed cloaked region.
-pub(crate) fn record_client_replay() {
+/// Counts `n` replayed cloaked regions.
+pub(crate) fn record_client_replay(n: u64) {
     cached_counter!(
         "casper_net_client_replayed_total",
         "Cloaked regions replayed to a restarted server"
     )
-    .inc();
+    .add(n);
 }
 
 /// Records a detected server restart (boot-id change): counter + flight

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use casper_core::durability::storage::FaultPlan;
 use casper_core::durability::wal::WalOp;
 use casper_core::durability::{
-    decode_checkpoint, encode_checkpoint_v1, same_population, verify_recovery, CheckInvariants,
-    DurabilityConfig, DurableAnonymizer, MemStorage, Storage,
+    same_population, verify_recovery, CheckInvariants, DurabilityConfig, DurableAnonymizer,
+    MemStorage,
 };
 use casper_core::engine::AnonymizerService;
 use casper_core::ShardedAnonymizer;
@@ -238,84 +238,6 @@ fn kill_loop_adaptive_pyramid() {
 fn kill_loop_sharded() {
     for seed in 200..234 {
         run_scenario(seed, 2, || ShardedAnonymizer::new(6, 2));
-    }
-}
-
-/// Rewrites the newest on-store checkpoint in the legacy v1 row format
-/// at the same `wal_seq` — standing in for a generation written by an
-/// old-format primary before a failover handed the store to a newer
-/// standby build.
-fn downgrade_newest_checkpoint(storage: &MemStorage) -> bool {
-    let names = storage.list().expect("list");
-    let Some(newest) = names
-        .iter()
-        .filter(|n| n.starts_with("ckpt-") && n.ends_with(".cspa"))
-        .max()
-    else {
-        return false;
-    };
-    let data = storage.read(newest).expect("read checkpoint");
-    let ckpt = decode_checkpoint(&data).expect("decode v2 checkpoint");
-    storage
-        .write_atomic(newest, &encode_checkpoint_v1(ckpt.wal_seq, &ckpt.shards))
-        .expect("write v1 checkpoint");
-    true
-}
-
-/// Failover mixes checkpoint generations: a store can hold a v1 `CSPA`
-/// checkpoint written by an old-format primary *and* v2 columnar
-/// checkpoints written by the promoted standby that inherited the
-/// store. Recovery must read either format and replay to the identical
-/// oracle state, across repeated generation flips.
-#[test]
-fn mixed_generation_checkpoints_replay_identically() {
-    for seed in 300..316u64 {
-        let storage = Arc::new(MemStorage::new());
-        let cfg = DurabilityConfig {
-            checkpoint_every: Some(8),
-        };
-        let make = || RwLock::new(AdaptivePyramid::new(6));
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6361).wrapping_add(7));
-        let mut oplog: Vec<WalOp> = Vec::new();
-
-        // Generation 1, "old primary": build history; auto-checkpoints
-        // land in v2. Downgrade the newest to v1 in place.
-        let (d, _) = DurableAnonymizer::recover(storage.clone(), cfg, make).unwrap();
-        for _ in 0..40 {
-            let op = gen_op(&mut rng);
-            oplog.push(op);
-            assert!(issue(&d, &op), "seed {seed}: no faults armed, ops ack");
-        }
-        drop(d);
-        assert!(
-            downgrade_newest_checkpoint(&storage),
-            "seed {seed}: expected at least one checkpoint after 40 ops"
-        );
-
-        // Generation 2, "promoted standby": recovery reads the v1
-        // checkpoint plus the WAL tail, then writes v2 checkpoints of
-        // its own on top — the store now holds both formats.
-        let (d, report) = DurableAnonymizer::recover(storage.clone(), cfg, make).unwrap();
-        assert_eq!(
-            report.last_seq as usize,
-            oplog.len(),
-            "seed {seed}: v1 checkpoint + WAL tail must cover all acked ops"
-        );
-        assert_matches_model(seed, &d, &fold(&oplog));
-        for _ in 0..40 {
-            let op = gen_op(&mut rng);
-            oplog.push(op);
-            assert!(issue(&d, &op));
-        }
-        drop(d);
-
-        // Generation 3: recover the mixed-format store once more and
-        // cross-check bit-exactly against the oracle.
-        let (d, report) = DurableAnonymizer::recover(storage.clone(), cfg, make).unwrap();
-        assert_eq!(report.last_seq as usize, oplog.len());
-        assert_matches_model(seed, &d, &fold(&oplog));
-        verify_recovery(&d, usize::MAX)
-            .unwrap_or_else(|e| panic!("seed {seed}: mixed-generation verification failed: {e}"));
     }
 }
 

@@ -6,10 +6,9 @@
 //! the application-visible behaviour is *byte-identical* to the serial
 //! reference: same reply stream, same replies, same final server state.
 //!
-//! The live half runs the same operations against real TCP servers on
-//! both transports ([`Transport::Reactor`] and [`Transport::Blocking`])
-//! and across a restart mid-window, asserting the transports are
-//! indistinguishable to a client.
+//! The live half runs the same operations through a real TCP server and
+//! the pipelined client — against that same serial reference, across a
+//! restart mid-window, and at windows 1 and 16 against each other.
 //!
 //! `CASPER_PIPELINE_WINDOW` (set by the CI matrix) overrides the
 //! pipeline window exercised by the live tests; the scripted tests
@@ -23,8 +22,8 @@ use casper_core::conformance::ScriptedLink;
 use casper_core::engine::ServerPlane;
 use casper_core::wire::Message;
 use casper_core::{
-    CasperServer, ClientConfig, NetworkClient, NetworkServer, PrivateHandle, RetryPolicy,
-    ServerConfig, Transport,
+    CasperServer, ClientConfig, NetError, NetworkClient, NetworkServer, PrivateHandle, RetryPolicy,
+    ServerConfig,
 };
 use casper_geometry::{Point, Rect};
 use casper_index::ObjectId;
@@ -193,49 +192,126 @@ fn fast_config(window: usize) -> ClientConfig {
     }
 }
 
-fn spawn_transport(transport: Transport) -> NetworkServer {
-    NetworkServer::spawn_with(
-        server_with_targets(40),
-        FilterCount::Four,
-        ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
+fn spawn_server() -> NetworkServer {
+    NetworkServer::spawn(server_with_targets(40), FilterCount::Four).unwrap()
 }
 
-/// Both transports, driven with the same operations through a pipelined
-/// client, are indistinguishable: same acks, same candidates, same
-/// server state, same protocol accounting.
+/// The live server, driven through a pipelined client, is
+/// indistinguishable from the serial reference run of the same frames:
+/// same candidates, same server state, same protocol accounting.
 #[test]
-fn transports_are_application_indistinguishable() {
+fn live_reactor_matches_the_serial_reference() {
     let window = env_window();
-    let mut observations = Vec::new();
-    for transport in [Transport::Blocking, Transport::Reactor] {
-        let server = spawn_transport(transport);
-        let mut client = NetworkClient::with_config(server.addr(), fast_config(window));
-        let batch: Vec<(PrivateHandle, Rect)> = (0..20u64)
-            .map(|i| (PrivateHandle(i % 7), region(i)))
-            .collect();
-        client.push_updates(&batch).unwrap();
-        let candidates = client
-            .query_nn(9, Rect::from_coords(0.3, 0.3, 0.7, 0.7))
-            .unwrap();
-        let mut ids: Vec<u64> = candidates.iter().map(|e| e.id.0).collect();
+    let batch: Vec<(PrivateHandle, Rect)> = (0..20u64)
+        .map(|i| (PrivateHandle(i % 7), region(i)))
+        .collect();
+    let query_region = Rect::from_coords(0.3, 0.3, 0.7, 0.7);
+
+    let server = spawn_server();
+    let mut client = NetworkClient::with_config(server.addr(), fast_config(window));
+    client.push_updates(&batch).unwrap();
+    let candidates = client.query_nn(9, query_region).unwrap();
+    let mut live_entries = server.with_server(|s| s.private_entries());
+    live_entries.sort_by_key(|e| e.id.0);
+    let stats = server.stats();
+    server.shutdown();
+
+    // The frames the client sent: per-handle sequences count from 1.
+    let mut script: Vec<Message> = batch
+        .iter()
+        .enumerate()
+        .map(|(i, &(handle, region))| Message::CloakedUpdate {
+            handle: handle.0,
+            seq: i as u64 / 7 + 1,
+            region,
+        })
+        .collect();
+    script.push(Message::CloakedQuery {
+        pseudonym: 9,
+        region: query_region,
+    });
+    let reference = ScriptedLink::new(0, 1).run_serial(&fresh_plane(), &script);
+
+    let Some(Message::Candidates(reference_candidates)) = reference.replies.last() else {
+        panic!("the serial run must end in a candidate list");
+    };
+    let sorted_ids = |list: &[casper_index::Entry]| {
+        let mut ids: Vec<u64> = list.iter().map(|e| e.id.0).collect();
         ids.sort_unstable();
+        ids
+    };
+    assert_eq!(sorted_ids(&candidates), sorted_ids(reference_candidates));
+    assert_eq!(live_entries, reference.entries);
+    assert_eq!(stats.frames, reference.frames);
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.connection_errors, 0);
+    if window == 1 {
+        // Out-of-order execution may legitimately discard an overtaken
+        // update as stale; lockstep never reorders.
+        assert_eq!(stats.stale_updates, 0);
+    }
+}
+
+/// The window is a transport detail: one script pushed one update at a
+/// time, as one lockstep batch and as one window-16 batch leaves the same
+/// server state and the same client counters.
+#[test]
+fn window_size_is_invisible_to_state_and_client_stats() {
+    let batch: Vec<(PrivateHandle, Rect)> = (0..30u64)
+        .map(|i| (PrivateHandle(i % 11), region(i)))
+        .collect();
+    let mut observations = Vec::new();
+    for (window, one_by_one) in [(1usize, true), (1, false), (16, false)] {
+        let server = spawn_server();
+        let mut client = NetworkClient::with_config(server.addr(), fast_config(window));
+        if one_by_one {
+            for &(handle, region) in &batch {
+                client.push_update(handle, region).unwrap();
+            }
+        } else {
+            client.push_updates(&batch).unwrap();
+        }
         let mut entries = server.with_server(|s| s.private_entries());
         entries.sort_by_key(|e| e.id.0);
-        let stats = server.stats();
-        observations.push((ids, entries, stats.frames, stats.stale_updates));
-        assert_eq!(stats.protocol_errors, 0, "{transport:?}");
-        assert_eq!(stats.connection_errors, 0, "{transport:?}");
+        let stats = client.stats();
+        observations.push((
+            entries,
+            stats.connects,
+            stats.retries,
+            stats.replayed_regions,
+        ));
         server.shutdown();
     }
     assert_eq!(
         observations[0], observations[1],
-        "Blocking and Reactor transports diverged"
+        "batching changed the outcome"
     );
+    assert_eq!(
+        observations[0], observations[2],
+        "the window changed the outcome"
+    );
+}
+
+/// An `Overloaded` reply answers its request completely, so the stream
+/// survives it — unless replies to frames written behind it are still in
+/// flight, which would pair with the next exchange's requests.
+#[test]
+fn overloaded_reply_keeps_the_stream_only_when_nothing_else_is_in_flight() {
+    let server = spawn_server();
+    let mut client = NetworkClient::with_config(server.addr(), fast_config(16));
+    client.push_update(PrivateHandle(1), region(1)).unwrap();
+    server.plane().set_serving(false);
+
+    let shed = client.push_update(PrivateHandle(1), region(2));
+    assert!(matches!(shed, Err(NetError::Overloaded { .. })), "{shed:?}");
+    assert!(client.is_connected(), "a lone shed reply leaves no strays");
+
+    let batch: Vec<(PrivateHandle, Rect)> =
+        (0..8u64).map(|i| (PrivateHandle(i), region(i))).collect();
+    let shed = client.push_updates(&batch);
+    assert!(matches!(shed, Err(NetError::Overloaded { .. })), "{shed:?}");
+    assert!(!client.is_connected(), "seven replies were still in flight");
+    server.shutdown();
 }
 
 /// A server restart in the middle of a full pipeline window: the
@@ -243,7 +319,7 @@ fn transports_are_application_indistinguishable() {
 /// re-delivers — converging on exactly the newest region per handle.
 #[test]
 fn boot_id_change_mid_window_redelivers_newest_regions() {
-    let server = spawn_transport(Transport::Reactor);
+    let server = spawn_server();
     let addr = server.addr();
     let mut client = NetworkClient::with_config(addr, fast_config(8));
     let first: Vec<(PrivateHandle, Rect)> =
@@ -257,7 +333,6 @@ fn boot_id_change_mid_window_redelivers_newest_regions() {
         FilterCount::Four,
         ServerConfig {
             bind: addr,
-            transport: Transport::Reactor,
             ..ServerConfig::default()
         },
     )
@@ -289,7 +364,7 @@ fn boot_id_change_mid_window_redelivers_newest_regions() {
 #[test]
 fn pipelined_redelivery_is_idempotent() {
     let window = env_window();
-    let server = spawn_transport(Transport::Reactor);
+    let server = spawn_server();
     let mut client = NetworkClient::with_config(server.addr(), fast_config(window));
     let batch: Vec<(PrivateHandle, Rect)> =
         (0..10u64).map(|i| (PrivateHandle(i), region(i))).collect();
