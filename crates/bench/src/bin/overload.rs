@@ -1,289 +1,366 @@
-//! Goodput under overload: load shedding on vs off.
+//! Overload on the wire path: does refusing expired work cost goodput?
 //!
 //! ```text
 //! cargo run --release -p casper-bench --bin overload
 //! ```
 //!
-//! A fixed engine (sharded anonymizer + admission control) is driven by
-//! closed-loop flooder threads at multiples of its measured capacity:
-//! 1×, 2×, 4× and 10× the thread count that saturates the worker pool.
-//! Each point is run twice — once with the admission gates installed
-//! (shedding on) and once on a bare engine (shedding off) — and a
-//! sequential probe thread samples the latency of *admitted* snapshot
-//! queries throughout.
+//! Assembles the real stack with `casper_loadgen`'s [`Stack`] — a
+//! sharded trusted tier, a `NetworkServer` on loopback TCP, one
+//! `NetworkClient` per driver — and drives it with `casper_loadgen`'s
+//! open-loop [`driver`]: an 80 % update / 20 % query stream over the
+//! seeded mobile population. It first measures the stack's closed-loop
+//! capacity, then offers 1×, 2× and 4× that capacity open loop. Latency
+//! runs from each operation's *due* time, so a backlog charges every
+//! operation queued behind it.
 //!
-//! The headline number is `goodput_ratio_at_4x`: goodput with shedding
-//! at 4× offered load divided by the unloaded capacity. The CI gate
-//! requires ≥ 0.70 — under overload the engine must keep doing at least
-//! 70% of the useful work it does when healthy, shedding the excess
-//! explicitly instead of letting queues stretch every response.
+//! Each load runs twice, alternating which goes first: once with budgets
+//! (`ClientConfig::request_budget` set to [`BUDGET`], and each
+//! operation's deadline pinned at its due time plus the budget, as the
+//! pipeline pins it when a request arrives), so the client fails late
+//! work fast before the socket and the server refuses expired frames;
+//! and once without. Goodput counts the operations answered, and their
+//! answers checked, within [`BUDGET`] of their due time, per second of
+//! the window.
 //!
-//! Results land in `BENCH_overload.json`.
+//! The gate: at every offered load, goodput with budgets is at least
+//! [`GATE_RATIO`] × goodput without them. Refusing work must never cost
+//! more answers in time than it saves. A load at which *both* arms
+//! deliver less than [`COLLAPSE_SHARE`] of what was offered has no
+//! goodput left to lose; it is reported `collapsed` and its ratio, a
+//! quotient of two small transients, is not gated. The 1× load must not
+//! collapse. Results land in `BENCH_overload.json` with
+//! `{median, iqr, n}` over [`REPS`] runs.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use casper_core::overload::{Deadline, OverloadConfig};
-use casper_core::{ParallelEngine, Request, Response, ShardedAnonymizer};
-use casper_geometry::Point;
-use casper_grid::{Profile, UserId};
-use casper_index::ObjectId;
+use casper_core::{CasperClient, ClientConfig, NetworkClient, PrivateHandle};
+use casper_geometry::Rect;
+use casper_grid::UserId;
+use casper_loadgen::driver::{self, PhaseClock, PhaseLimits, QueryDone, Target, UpdatesDone};
+use casper_loadgen::stack::{self, handle_of, Stack, TrustedTier};
+use casper_loadgen::stats::{percentile, Summary};
+use casper_loadgen::workload::{
+    Op, OpSource, Pacing, PhaseStream, Population, Scale, Tier, WorkloadSpec, DRIVERS,
+    PIPELINE_WINDOW,
+};
 
-const USERS: u64 = 512;
-const TARGETS: u64 = 400;
-const WORKERS: usize = 4;
-const BATCH: usize = 8;
-const POINT_MS: u64 = 400;
-const DEADLINE_MS: u64 = 50;
-const MULTIPLIERS: [usize; 4] = [1, 2, 4, 10];
+/// The workload: the mixed stream of `mixed_durable`, durability off, so
+/// the wire path and the plane are what saturates.
+const SPEC: WorkloadSpec = WorkloadSpec {
+    name: "overload",
+    why: "80% updates / 20% queries, durability off, cache on: the wire path under overload",
+    query_share: 0.2,
+    tier: Tier::Sharded,
+    cache: true,
+    // Unused: every phase here is paced from the measured capacity.
+    rate_ops_s: 0.0,
+};
+/// Seed of the population and the operation stream.
+const SEED: u64 = 7;
+/// Every operation's end-to-end budget, from its due time.
+const BUDGET: Duration = Duration::from_millis(50);
+/// Offered loads, as multiples of the measured capacity.
+const LOADS: [f64; 3] = [1.0, 2.0, 4.0];
+/// Length of each measured window.
+const WINDOW: Duration = Duration::from_secs(2);
+/// Repetitions of every (load, arm) pair.
+const REPS: usize = 5;
+/// Goodput with budgets over goodput without, at every load.
+const GATE_RATIO: f64 = 0.9;
+/// Share of the offered load below which an arm's goodput has collapsed.
+const COLLAPSE_SHARE: f64 = 0.05;
+/// Operations the closed-loop capacity phase may use up.
+const CAPACITY_STREAM_OPS: usize = 1_000_000;
 
-fn build_engine(shed_on: bool) -> ParallelEngine<ShardedAnonymizer> {
-    let engine = ParallelEngine::sharded(8, 2, WORKERS);
-    let engine = if shed_on {
-        engine.with_overload(OverloadConfig {
-            queue_cap: 64,
-            target_sojourn: Duration::from_millis(2),
-            codel_interval: Duration::from_millis(20),
-            retry_after: Duration::from_millis(2),
-        })
-    } else {
-        engine
-    };
-    let side = 20u64;
-    engine.load_targets((0..TARGETS).map(|i| {
-        (
-            ObjectId(i),
-            Point::new(
-                (i % side) as f64 / side as f64 + 0.025,
-                (i / side) as f64 / side as f64 + 0.025,
-            ),
-        )
-    }));
-    let uside = (USERS as f64).sqrt().ceil() as u64;
-    for uid in 0..USERS {
-        engine.submit(Request::Register {
-            uid: UserId(uid),
-            profile: Profile::new(2, 0.0),
-            pos: Point::new(
-                (uid % uside) as f64 / uside as f64 + 0.01,
-                (uid / uside) as f64 / uside as f64 + 0.01,
-            ),
-        });
-    }
-    engine
+/// One driver's half of the stack, called the way `RemoteCasper`'s
+/// pipeline calls it: trusted-tier mutation and cloak, then the wire.
+struct WireTarget<'a> {
+    tier: &'a TrustedTier,
+    population: &'a Population,
+    client: NetworkClient,
+    start: Instant,
+    budget: Option<Duration>,
+    next_pseudonym: u64,
+    window: Vec<(PrivateHandle, Rect)>,
 }
 
-struct LoadPoint {
-    offered_x: usize,
-    goodput: f64,
-    shed: u64,
-    p99_ms: f64,
-}
-
-fn p99_ms(samples: &mut [Duration]) -> f64 {
-    if samples.is_empty() {
-        // Sentinel instead of NaN: NaN is not valid JSON.
-        return -1.0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64) * 0.99).ceil() as usize;
-    samples[rank.saturating_sub(1).min(samples.len() - 1)].as_secs_f64() * 1e3
-}
-
-/// Drives `multiplier × WORKERS` flooder threads plus one sequential
-/// probe for `POINT_MS`, returning admitted ops/sec and admitted p99.
-fn run_point(engine: &ParallelEngine<ShardedAnonymizer>, multiplier: usize) -> LoadPoint {
-    let stop = AtomicBool::new(false);
-    let mut admitted_total = 0u64;
-    let mut shed_total = 0u64;
-    let mut probe_lat: Vec<Duration> = Vec::new();
-    let wall = Instant::now();
-    std::thread::scope(|s| {
-        let mut flooders = Vec::new();
-        for t in 0..multiplier * WORKERS {
-            let stop = &stop;
-            flooders.push(s.spawn(move || {
-                let (mut admitted, mut shed) = (0u64, 0u64);
-                let mut n = t as u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let batch: Vec<(Request, Deadline)> = (0..BATCH)
-                        .map(|i| {
-                            n = n.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            let uid = UserId(n % USERS);
-                            let req = match i % 4 {
-                                0 => Request::Cloak { uid },
-                                1 => Request::QueryNn {
-                                    uid,
-                                    filters: None,
-                                    category: None,
-                                },
-                                _ => Request::UpdateLocation {
-                                    uid,
-                                    pos: Point::new((n % 97) as f64 / 97.0, (n % 89) as f64 / 89.0),
-                                },
-                            };
-                            (req, Deadline::within(Duration::from_millis(DEADLINE_MS)))
-                        })
-                        .collect();
-                    // Honor the retry-after contract: a shed reply means
-                    // back off before offering more. Ignoring it turns a
-                    // load test into a retry storm that starves the
-                    // workers of CPU — the very failure mode shedding
-                    // exists to prevent.
-                    let mut backoff = Duration::ZERO;
-                    for resp in engine.execute_batch_with_deadline(batch) {
-                        match resp {
-                            Response::Overloaded { retry_after } => {
-                                shed += 1;
-                                backoff = backoff.max(retry_after);
-                            }
-                            _ => admitted += 1,
-                        }
-                    }
-                    if backoff > Duration::ZERO {
-                        // Jitter the backoff per flooder: synchronized
-                        // sleeps would drain the queues in lockstep and
-                        // leave the workers idling between waves.
-                        n = n.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let frac = 0.5 + (n >> 33) as f64 / (1u64 << 31) as f64;
-                        std::thread::sleep(backoff.mul_f64(frac));
-                    }
-                }
-                (admitted, shed)
-            }));
+impl WireTarget<'_> {
+    /// Pins the deadline of an operation due at `due_ns`.
+    fn arm(&mut self, due_ns: u64) {
+        if let Some(budget) = self.budget {
+            let due = self.start + Duration::from_nanos(due_ns);
+            self.client.set_deadline(Some(due + budget));
         }
-        let probe = s.spawn(|| {
-            let mut lat = Vec::new();
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let t0 = Instant::now();
-                let resp = engine.execute_with_deadline(
-                    Request::QueryNn {
-                        uid: UserId((i * 11) % USERS),
-                        filters: None,
-                        category: None,
-                    },
-                    Deadline::within(Duration::from_millis(DEADLINE_MS)),
-                );
-                match resp {
-                    Response::Overloaded { retry_after } => std::thread::sleep(retry_after),
-                    _ => lat.push(t0.elapsed()),
-                }
-                i += 1;
+    }
+}
+
+impl Target for WireTarget<'_> {
+    fn updates(&mut self, ops: &[Op], _first: u32, clock: &PhaseClock) -> UpdatesDone {
+        self.arm(ops[0].due_ns);
+        let mut failed = 0u32;
+        self.window.clear();
+        for (i, op) in ops.iter().enumerate() {
+            let uid = UserId(u64::from(op.uid));
+            let cloak = match self.tier.update(uid, op.pos) {
+                Ok(_) => self.tier.cloak(uid),
+                Err(_) => None,
+            };
+            match cloak {
+                Some(region) => self.window.push((handle_of(op.uid), region.rect)),
+                None => failed |= 1 << i,
             }
-            lat
-        });
-        std::thread::sleep(Duration::from_millis(POINT_MS));
-        stop.store(true, Ordering::Relaxed);
-        for f in flooders {
-            let (a, sh) = f.join().expect("flooder panicked");
-            admitted_total += a;
-            shed_total += sh;
         }
-        probe_lat = probe.join().expect("probe panicked");
-    });
-    let elapsed = wall.elapsed().as_secs_f64();
-    LoadPoint {
-        offered_x: multiplier,
-        goodput: admitted_total as f64 / elapsed,
-        shed: shed_total,
-        p99_ms: p99_ms(&mut probe_lat),
+        if self.client.push_updates(&self.window).is_err() {
+            failed = u32::MAX >> (32 - ops.len());
+        }
+        UpdatesDone {
+            done_ns: clock.now_ns(),
+            failed,
+        }
+    }
+
+    fn query(&mut self, op: &Op, _index: u32, clock: &PhaseClock) -> QueryDone {
+        self.arm(op.due_ns);
+        let uid = UserId(u64::from(op.uid));
+        self.next_pseudonym += 1;
+        let entries = self
+            .tier
+            .cloak(uid)
+            .and_then(|region| self.client.query_nn(self.next_pseudonym, region.rect).ok());
+        let done_ns = clock.now_ns();
+        let pos = self.tier.service().position_of(uid);
+        let ok = match (&entries, pos) {
+            (Some(entries), Some(pos)) => {
+                let nearest = self.population.targets.iter().map(|t| t.dist(pos));
+                let best = nearest.fold(f64::INFINITY, f64::min);
+                CasperClient::new()
+                    .refine_nn_entries(pos, entries)
+                    .is_some_and(|e| (e.mbr.min.dist(pos) - best).abs() < 1e-9)
+            }
+            _ => false,
+        };
+        QueryDone {
+            done_ns,
+            ok,
+            candidates: entries.map_or(0, |e| e.len() as u32),
+        }
     }
 }
 
-/// Runs a point `REPS` times and keeps the run with the median goodput:
-/// a two-core CI box schedules flooders and workers noisily, and the
-/// gate ratio must not flake on one unlucky 400 ms window.
-fn run_point_median(engine: &ParallelEngine<ShardedAnonymizer>, multiplier: usize) -> LoadPoint {
-    const REPS: usize = 3;
-    let mut runs: Vec<LoadPoint> = (0..REPS).map(|_| run_point(engine, multiplier)).collect();
-    runs.sort_by(|a, b| a.goodput.total_cmp(&b.goodput));
-    runs.swap_remove(REPS / 2)
+/// What one phase of both drivers did.
+struct Phase {
+    /// `(latency from due, ok)` of every executed operation.
+    ops: Vec<(f64, bool)>,
+    /// Latest completion, ns after the phase start.
+    last_done_ns: u64,
+}
+
+/// Replays `stream` against `stack` with fresh connections carrying
+/// `budget`, both drivers at once.
+fn run_phase(
+    stack: &Stack,
+    population: &Population,
+    stream: &PhaseStream,
+    limits: PhaseLimits,
+    budget: Option<Duration>,
+) -> Phase {
+    let config = ClientConfig {
+        request_budget: budget,
+        ..stack::client_config()
+    };
+    let start = Instant::now() + Duration::from_millis(20);
+    let clock = PhaseClock::starting_at(start);
+    let logs: Vec<driver::PhaseLog> = std::thread::scope(|scope| {
+        let handles: Vec<_> = stream
+            .per_driver
+            .iter()
+            .enumerate()
+            .map(|(d, ops)| {
+                let mut target = WireTarget {
+                    tier: &stack.tier,
+                    population,
+                    client: NetworkClient::with_config(stack.server.addr(), config),
+                    start,
+                    budget,
+                    next_pseudonym: (d as u64) << 48,
+                    window: Vec::with_capacity(PIPELINE_WINDOW),
+                };
+                scope.spawn(move || {
+                    clock.sleep_until(0);
+                    driver::drive(ops, limits, &mut target, &clock)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("driver thread panicked"))
+            .collect()
+    });
+    let mut phase = Phase {
+        ops: Vec::new(),
+        last_done_ns: 0,
+    };
+    for log in logs {
+        for r in log.records {
+            phase.last_done_ns = phase.last_done_ns.max(r.done_ns);
+            phase.ops.push((r.latency_ms(), r.ok));
+        }
+    }
+    phase
+}
+
+/// One open-loop run at `rate_ops_s`: goodput and the p99 latency from
+/// due time of the answered operations.
+fn open_loop(
+    stack: &Stack,
+    population: &Population,
+    source: &mut OpSource<'_>,
+    rate_ops_s: f64,
+    budget: Option<Duration>,
+) -> (f64, f64) {
+    let count = (rate_ops_s * WINDOW.as_secs_f64()).round() as usize;
+    let stream = PhaseStream::take(source, count, Pacing::Open { rate_ops_s });
+    let limits = PhaseLimits {
+        window_ns: WINDOW.as_nanos() as u64,
+        slices: 10,
+        closed: false,
+        // Whatever starts later than this is past its budget already.
+        grace_ns: BUDGET.as_nanos() as u64,
+    };
+    let phase = run_phase(stack, population, &stream, limits, budget);
+    let budget_ms = BUDGET.as_secs_f64() * 1e3;
+    let good = phase
+        .ops
+        .iter()
+        .filter(|&&(ms, ok)| ok && ms <= budget_ms)
+        .count();
+    let mut answered: Vec<f64> = phase.ops.iter().filter(|op| op.1).map(|op| op.0).collect();
+    answered.sort_by(f64::total_cmp);
+    (
+        good as f64 / WINDOW.as_secs_f64(),
+        percentile(&answered, 0.99),
+    )
+}
+
+fn summary_json(s: Summary) -> String {
+    format!(
+        "{{\"median\": {:.1}, \"iqr\": {:.1}, \"n\": {}}}",
+        s.median, s.iqr, s.n
+    )
 }
 
 fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("=== overload: goodput with shedding on vs off ===");
-    println!("host cpus: {host_cpus}; workers: {WORKERS}; users: {USERS}; point: {POINT_MS} ms");
+    let scale = Scale::FULL;
+    println!("=== wire-path overload: goodput with and without budgets ===");
+    println!(
+        "host cpus: {host_cpus}; users: {}; drivers: {DRIVERS}; budget: {BUDGET:?}; window: {WINDOW:?}",
+        scale.users
+    );
+    let population = Population::build(scale, SEED);
+    let stack = Stack::assemble(&SPEC, &population);
+    assert_eq!(stack.setup_violations, 0, "set-up served a weak cloak");
+    let mut source = OpSource::new(&population, &SPEC, SEED);
 
-    let engine_on = build_engine(true);
-    let engine_off = build_engine(false);
-    // Warmup: fault in lazy state and steady the thermals before timing.
-    run_point(&engine_on, 1);
-    run_point(&engine_off, 1);
+    // Closed-loop capacity, measured once per repetition.
+    let capacities: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let stream = PhaseStream::take(&mut source, CAPACITY_STREAM_OPS, Pacing::Closed);
+            let limits = PhaseLimits {
+                window_ns: WINDOW.as_nanos() as u64,
+                slices: 10,
+                closed: true,
+                grace_ns: 0,
+            };
+            let phase = run_phase(&stack, &population, &stream, limits, None);
+            assert!(phase.ops.iter().all(|op| op.1), "a closed-loop op failed");
+            let elapsed_s = (phase.last_done_ns as f64 / 1e9).max(1e-3);
+            phase.ops.len() as f64 / elapsed_s
+        })
+        .collect();
+    let capacity = Summary::of(&capacities);
+    println!(
+        "capacity: {:.0} ops/s (iqr {:.0}, n {})",
+        capacity.median, capacity.iqr, capacity.n
+    );
 
-    let mut points_on = Vec::new();
-    let mut points_off = Vec::new();
-    for &m in &MULTIPLIERS {
-        let on = run_point_median(&engine_on, m);
-        let off = run_point_median(&engine_off, m);
+    let mut points = Vec::new();
+    let mut pass = true;
+    for factor in LOADS {
+        let rate = factor * capacity.median;
+        let (mut on, mut off) = (Vec::new(), Vec::new());
+        let (mut p99_on, mut p99_off) = (Vec::new(), Vec::new());
+        for rep in 0..REPS {
+            // Alternate which arm runs first, so drift of the host's speed
+            // hits both arms alike.
+            for budgeted in [rep % 2 == 0, rep % 2 != 0] {
+                let budget = budgeted.then_some(BUDGET);
+                let (good, p99) = open_loop(&stack, &population, &mut source, rate, budget);
+                if budgeted {
+                    on.push(good);
+                    p99_on.push(p99);
+                } else {
+                    off.push(good);
+                    p99_off.push(p99);
+                }
+            }
+        }
+        let (on, off) = (Summary::of(&on), Summary::of(&off));
+        let ratio = on.median / off.median.max(1.0);
+        let floor = COLLAPSE_SHARE * rate;
+        let collapsed = on.median < floor && off.median < floor;
+        let ok = if factor == 1.0 {
+            !collapsed && ratio >= GATE_RATIO
+        } else {
+            collapsed || ratio >= GATE_RATIO
+        };
+        pass &= ok;
+        let (p99_on, p99_off) = (Summary::of(&p99_on), Summary::of(&p99_off));
         println!(
-            "{m:>2}x offered | shed on: {:9.0} ops/s (p99 {:7.2} ms, shed {:7}) | \
-             shed off: {:9.0} ops/s (p99 {:7.2} ms)",
-            on.goodput, on.p99_ms, on.shed, off.goodput, off.p99_ms
+            "{factor}x ({rate:.0} ops/s offered): goodput with budgets {:.0}/s, without {:.0}/s \
+             (ratio {ratio:.2}{}); answered p99 {:.1} ms vs {:.1} ms: {}",
+            on.median,
+            off.median,
+            if collapsed { ", both collapsed" } else { "" },
+            p99_on.median,
+            p99_off.median,
+            if ok { "ok" } else { "FAIL" },
         );
-        points_on.push(on);
-        points_off.push(off);
+        points.push(format!(
+            "    {{\"offered_x\": {factor}, \"offered_ops_s\": {rate:.1}, \
+             \"goodput_budget_ops_s\": {}, \"goodput_no_budget_ops_s\": {}, \
+             \"ratio\": {ratio:.4}, \"collapsed\": {collapsed}, \
+             \"answered_p99_ms_budget\": {:.3}, \"answered_p99_ms_no_budget\": {:.3}}}",
+            summary_json(on),
+            summary_json(off),
+            p99_on.median,
+            p99_off.median
+        ));
     }
+    stack.shutdown();
 
-    // Capacity: the healthy (1×, gates installed) goodput.
-    let capacity = points_on[0].goodput;
-    println!("capacity (1x median, shed on): {capacity:9.0} ops/s");
-
-    let at_4x = points_on
-        .iter()
-        .find(|p| p.offered_x == 4)
-        .expect("4x point present");
-    let goodput_ratio_at_4x = at_4x.goodput / capacity;
-    println!("goodput_ratio_at_4x: {goodput_ratio_at_4x:.3} (gate: >= 0.70)");
-    if let Some(stats) = engine_on.overload_stats() {
-        println!("overload stats (shed on engine): {stats:?}");
-    }
-
+    println!("gate (ratio >= {GATE_RATIO} at every load that did not collapse): {pass}");
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"schema_version\": {},\n  \"bench\": \"overload\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"workers\": {WORKERS},\n  \"users\": {USERS},\n  \"targets\": {TARGETS},\n  \
-         \"capacity_ops_per_sec\": {capacity:.1},\n  \"points\": [",
+        "{{\n  \"schema_version\": {},\n  \"bench\": \"overload\",\n  \
+         \"host_cpus\": {host_cpus},\n  \"users\": {},\n  \"targets\": {},\n  \
+         \"query_share\": {},\n  \"drivers\": {DRIVERS},\n  \"budget_ms\": {},\n  \
+         \"window_s\": {},\n  \"reps\": {REPS},\n  \"capacity_ops_s\": {},\n  \
+         \"points\": [\n{}\n  ],\n  \"gate_ratio\": {GATE_RATIO},\n  \
+         \"collapse_share\": {COLLAPSE_SHARE},\n  \"pass\": {pass}\n}}\n",
         casper_bench::SCHEMA_VERSION,
-    );
-    for (i, (on, off)) in points_on.iter().zip(&points_off).enumerate() {
-        let _ = write!(
-            json,
-            "{}\n    {{\"offered_x\": {}, \"goodput_shed_on\": {:.1}, \
-             \"p99_ms_shed_on\": {:.3}, \"shed_count\": {}, \
-             \"goodput_shed_off\": {:.1}, \"p99_ms_shed_off\": {:.3}}}",
-            if i == 0 { "" } else { "," },
-            on.offered_x,
-            on.goodput,
-            on.p99_ms,
-            on.shed,
-            off.goodput,
-            off.p99_ms
-        );
-    }
-    let _ = write!(
-        json,
-        "\n  ],\n  \"goodput_ratio_at_4x\": {goodput_ratio_at_4x:.4}\n}}\n"
+        scale.users,
+        scale.targets,
+        SPEC.query_share,
+        BUDGET.as_millis(),
+        WINDOW.as_secs(),
+        summary_json(capacity),
+        points.join(",\n"),
     );
     std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
     println!("wrote BENCH_overload.json");
-
-    // Dump the cloaking audit log so the privacy auditor (CI, or
-    // `--bin privacy_audit`) can prove post hoc that no shed mode ever
-    // served a (k, A_min)-violating region.
-    let audit = casper_telemetry::audit();
-    std::fs::write("AUDIT_overload.jsonl", audit.render_jsonl())
-        .expect("write AUDIT_overload.jsonl");
-    let report = casper_telemetry::PrivacyAuditor::audit(&audit.dump());
-    print!("{report}");
-    println!("wrote AUDIT_overload.jsonl ({} records)", audit.len());
-    assert!(
-        report.is_clean(),
-        "overload run served a privacy-violating region"
-    );
 }

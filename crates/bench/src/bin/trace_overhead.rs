@@ -4,16 +4,18 @@
 //! cargo run --release -p casper-bench --bin trace_overhead
 //! ```
 //!
-//! Drives the engine's query hot path — the path that opens a trace
-//! root per query, emits cloak/pyramid/lock-wait child spans, and
-//! records every cloaking decision into the audit log — through
+//! Drives the query hot path of the trusted-tier pipeline over its
+//! in-process `ServerPlane` — the path that opens a trace root per
+//! query, emits cloak/pyramid/lock-wait/server-link/refine child spans,
+//! and records every cloaking decision into the audit log — through
 //! identical fixed workloads twice: once with tracing at the production
 //! default (one trace in [`casper_telemetry::DEFAULT_SAMPLE_RATE`]) and
 //! once with tracing off (sample rate 0, one relaxed atomic load per
-//! span site). The workload runs inline on the calling thread: the
-//! worker pool's queue hop costs hundreds of microseconds of scheduler
-//! noise per op and would drown a 5% signal, while the spans under test
-//! fire identically on both paths. Passes alternate enabled/disabled
+//! span site). The workload is a [`Casper`] over a sharded trusted tier,
+//! run inline on the calling thread: no socket, whose round trip costs
+//! tens of microseconds of scheduler noise per op and would drown a 5%
+//! signal, while the spans under test fire as they do behind
+//! `RemoteCasper`. Passes alternate enabled/disabled
 //! within each repetition so thermal or scheduler drift hits both arms
 //! equally, and every pass replays the *identical* op sequence (same
 //! LCG seed), so slice `s` of an enabled pass runs the same ops as
@@ -36,7 +38,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use casper_core::{ParallelEngine, Request, Response, ShardedAnonymizer};
+use casper_core::{Casper, Engine, Request, Response, ShardedAnonymizer};
 use casper_geometry::Point;
 use casper_grid::{Profile, UserId};
 use casper_index::ObjectId;
@@ -48,8 +50,8 @@ const CHUNK: usize = 500;
 const REPS: usize = 21;
 const GATE_PCT: f64 = 5.0;
 
-fn build_engine() -> ParallelEngine<ShardedAnonymizer> {
-    let engine = ParallelEngine::sharded(8, 2, 2);
+fn build_engine() -> Casper<ShardedAnonymizer> {
+    let mut engine = Casper::new(ShardedAnonymizer::new(8, 2));
     let side = (TARGETS as f64).sqrt().ceil() as u64;
     engine.load_targets((0..TARGETS).map(|i| {
         (
@@ -62,7 +64,7 @@ fn build_engine() -> ParallelEngine<ShardedAnonymizer> {
     }));
     let uside = (USERS as f64).sqrt().ceil() as u64;
     for uid in 0..USERS {
-        engine.submit(Request::Register {
+        engine.execute(Request::Register {
             uid: UserId(uid),
             profile: Profile::new(2, 0.0),
             pos: Point::new(
@@ -78,7 +80,7 @@ fn build_engine() -> ParallelEngine<ShardedAnonymizer> {
 /// given head-sampling rate, timed per `CHUNK`-op slice. Returns each
 /// slice's wall time in seconds, in slice order (deterministic: every
 /// pass replays the same op sequence).
-fn run_pass(engine: &ParallelEngine<ShardedAnonymizer>, sample_rate: u64) -> Vec<f64> {
+fn run_pass(engine: &mut Casper<ShardedAnonymizer>, sample_rate: u64) -> Vec<f64> {
     casper_telemetry::spans().set_sample_rate(sample_rate);
     let mut n = 0x5EED_u64;
     let mut i = 0usize;
@@ -100,7 +102,7 @@ fn run_pass(engine: &ParallelEngine<ShardedAnonymizer>, sample_rate: u64) -> Vec
                     pos: Point::new((n % 97) as f64 / 97.0, (n % 89) as f64 / 89.0),
                 },
             };
-            let resp = engine.submit(req);
+            let resp = engine.execute(req);
             assert!(
                 !matches!(resp, Response::Unsupported(_)),
                 "workload request rejected"
@@ -138,10 +140,10 @@ fn main() {
     println!("=== span tracing overhead: sample rate {rate} vs off ===");
     println!("host cpus: {host_cpus}; users: {USERS}; ops/pass: {OPS}");
 
-    let engine = build_engine();
+    let mut engine = build_engine();
     // Warmup both arms: fault in lazy state before timing anything.
-    run_pass(&engine, rate);
-    run_pass(&engine, 0);
+    run_pass(&mut engine, rate);
+    run_pass(&mut engine, 0);
 
     let slices = OPS / CHUNK;
     let mut enabled: Vec<Vec<f64>> = (0..slices).map(|_| Vec::with_capacity(REPS)).collect();
@@ -151,11 +153,11 @@ fn main() {
         // ABBA: alternate which arm goes first so slow host-speed drift
         // (frequency scaling, neighbour load) cancels across reps.
         let (on, off) = if rep % 2 == 0 {
-            let on = run_pass(&engine, rate);
-            (on, run_pass(&engine, 0))
+            let on = run_pass(&mut engine, rate);
+            (on, run_pass(&mut engine, 0))
         } else {
-            let off = run_pass(&engine, 0);
-            (run_pass(&engine, rate), off)
+            let off = run_pass(&mut engine, 0);
+            (run_pass(&mut engine, rate), off)
         };
         let (on_t, off_t) = (on.iter().sum::<f64>(), off.iter().sum::<f64>());
         println!(

@@ -93,46 +93,13 @@ impl From<std::io::Error> for DurabilityError {
     }
 }
 
-use std::sync::Arc;
-
-use crate::engine::ParallelEngine;
-use crate::ShardedAnonymizer;
-
-/// The standard crash-safe concurrent deployment: recovers a
-/// [`ShardedAnonymizer`] from `storage` and assembles a
-/// [`ParallelEngine`] around the [`DurableAnonymizer`], with the server
-/// plane's §8 boot id set to the recovered boot epoch so restarted
-/// servers are immediately distinguishable to clients.
-///
-/// The `(global_height, shard_level)` geometry must match the run that
-/// wrote the state — the checkpoint stores users, not layout.
-pub fn recover_sharded_engine<S: Storage + ?Sized>(
-    storage: Arc<S>,
-    config: DurabilityConfig,
-    global_height: u8,
-    shard_level: u8,
-    threads: usize,
-) -> Result<
-    (
-        ParallelEngine<DurableAnonymizer<ShardedAnonymizer, S>>,
-        RecoveryReport,
-    ),
-    DurabilityError,
-> {
-    let (durable, report) = DurableAnonymizer::recover(storage, config, || {
-        ShardedAnonymizer::new(global_height, shard_level)
-    })?;
-    let boot_epoch = durable.boot_epoch();
-    let engine = ParallelEngine::new(durable, threads).with_boot_id(boot_epoch);
-    Ok((engine, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::AnonymizerService;
     use casper_geometry::Point;
     use casper_grid::{AdaptivePyramid, CompletePyramid, Profile, UserId};
+    use std::sync::Arc;
     use std::sync::RwLock;
 
     fn p(x: f64, y: f64) -> Point {
@@ -264,30 +231,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_recovers_with_boot_epoch() {
+    fn sharded_tier_recovers_with_boot_epoch() {
         let storage = Arc::new(MemStorage::new());
         let cfg = DurabilityConfig {
             checkpoint_every: Some(50),
         };
-        let (engine, r1) = recover_sharded_engine(storage.clone(), cfg, 8, 2, 2).unwrap();
-        assert_eq!(engine.plane().boot_id(), r1.boot_epoch);
-        let users: Vec<_> = (0..200u64)
-            .map(|i| {
-                (
-                    UserId(i),
-                    Profile::new(4, 0.0),
-                    p((i as f64 * 0.31) % 1.0, (i as f64 * 0.17) % 1.0),
-                )
-            })
-            .collect();
-        engine.register_batch(users);
-        drop(engine);
+        let make = || crate::ShardedAnonymizer::new(8, 2);
+        let (d, r1) = DurableAnonymizer::recover(storage.clone(), cfg, make).unwrap();
+        assert_eq!(d.boot_epoch(), r1.boot_epoch);
+        for i in 0..200u64 {
+            d.try_register(
+                UserId(i),
+                Profile::new(4, 0.0),
+                p((i as f64 * 0.31) % 1.0, (i as f64 * 0.17) % 1.0),
+            )
+            .unwrap();
+        }
+        drop(d);
 
-        let (engine, r2) = recover_sharded_engine(storage, cfg, 8, 2, 2).unwrap();
+        let (d, r2) = DurableAnonymizer::recover(storage, cfg, make).unwrap();
         assert_eq!(r2.boot_epoch, r1.boot_epoch + 1);
-        assert_eq!(engine.plane().boot_id(), r2.boot_epoch);
-        assert_eq!(engine.anonymizer().user_count(), 200);
-        verify_recovery(engine.anonymizer(), 64).unwrap();
+        assert_eq!(d.boot_epoch(), r2.boot_epoch);
+        assert_eq!(d.user_count(), 200);
+        verify_recovery(&d, 64).unwrap();
     }
 
     #[test]

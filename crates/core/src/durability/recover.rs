@@ -538,7 +538,8 @@ fn decode_epoch(bytes: &[u8]) -> Option<u64> {
 }
 
 /// Every [`DurableAnonymizer`] is itself an [`AnonymizerService`], so
-/// it drops into [`crate::ParallelEngine`] unchanged. Mutations that
+/// it serves anywhere the bare tier does: beside a shared
+/// [`crate::engine::ServerPlane`], or under a replicated primary. Mutations that
 /// fail durably (poisoned WAL, dead disk) report zero maintenance cost
 /// — the op was *not* acknowledged and the §8 retry machinery owns the
 /// client-visible outcome. Reads bypass the WAL entirely.
@@ -588,10 +589,6 @@ impl<A: AnonymizerService, S: Storage + ?Sized> AnonymizerService for DurableAno
 
     fn shard_hint(&self, pos: Point) -> usize {
         self.inner.shard_hint(pos)
-    }
-
-    fn home_hints(&self, uids: &[UserId]) -> Vec<usize> {
-        self.inner.home_hints(uids)
     }
 
     fn cloak_many(&self, uids: &[UserId]) -> Vec<Option<CloakedRegion>> {

@@ -24,8 +24,9 @@
 //!
 //! [`GroupWal`] adds *group commit* on top: concurrent writers encode
 //! into a shared buffer and one of them flushes (append + fsync) on
-//! behalf of everyone, so `ParallelEngine`'s shard-keyed batches
-//! amortise the fsync instead of paying one per op. A commit is two
+//! behalf of everyone, so concurrent committers (two drivers, or every
+//! client of a replicated primary) amortise the fsync instead of paying
+//! one per op. A commit is two
 //! steps, `log` (reserve the seq, encode into the pending buffer) and
 //! `wait_durable` (block until a flush covers it); [`GroupWal::commit`]
 //! runs both. The replicated primary does something between the two: it

@@ -1,14 +1,13 @@
 //! The **unified request plane**: one typed command vocabulary and one
-//! execution engine behind every Casper deployment shape.
+//! server-side executor behind every Casper deployment shape.
 //!
 //! * [`Request`] / [`Response`] — the typed commands every entry point
 //!   speaks: user-tier maintenance (register / update / sign-off),
 //!   cloaking, end-to-end queries, and the server-tier operations
 //!   (region upserts, candidate queries, admin counts, metrics).
 //! * [`Engine`] — the one-method interface (`execute`) implemented by
-//!   [`Casper`](crate::Casper), [`RemoteCasper`](crate::RemoteCasper),
-//!   and [`ParallelEngine`]; a harness
-//!   written against `dyn Engine` runs unchanged over any of them.
+//!   [`Casper`](crate::Casper) and [`RemoteCasper`](crate::RemoteCasper);
+//!   a harness written against `dyn Engine` runs unchanged over either.
 //! * [`ServerPlane`] — the single server-side executor. The TCP server
 //!   decodes frames into [`Request`]s and feeds them here; the local
 //!   pipeline feeds the *same* requests through the same method. The
@@ -17,23 +16,16 @@
 //!   service. The two single-node pyramids participate behind one lock
 //!   (a blanket impl over `RwLock<P>`); the
 //!   [`crate::ShardedAnonymizer`] participates natively with one lock
-//!   **per shard**, which is what makes parallelism real.
-//! * [`ParallelEngine`] — the concurrent façade over the same
-//!   trusted-tier pipeline as `Casper` and `RemoteCasper`, plus a private
-//!   worker pool. `register_batch` / `update_batch` / `cloak_batch` share
-//!   one keyed fan-out: mutations are keyed by uid, so one user's moves
-//!   apply in batch order, and cloaks by home shard, so each worker
-//!   drives its own shard locks.
+//!   **per shard**, so threads that drive it and a shared
+//!   [`ServerPlane`] directly proceed in parallel.
 //!
 //! Wire interop lives here too ([`Request::from_wire`],
 //! [`Response::into_wire`]), so the network layer is pure framing.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use casper_geometry::{Point, Rect};
 use casper_grid::{
@@ -42,14 +34,14 @@ use casper_grid::{
 use casper_index::{Entry, ObjectId};
 use casper_qp::{FilterCount, PrivateBoundMode, RangeAnswer};
 
-use crate::pipeline::{Pipeline, QueryOutcome};
+use crate::pipeline::QueryOutcome;
 use crate::sync::{lock, read, write};
 use crate::wire::Message;
-use crate::{CasperServer, Category, PrivateHandle, TransmissionModel};
+use crate::{CasperServer, Category, PrivateHandle};
 
 /// A typed command against a Casper engine — the one request vocabulary
-/// shared by the in-process pipeline, the remote pipeline, the TCP
-/// server's wire dispatch, and the concurrent engine.
+/// shared by the in-process pipeline, the remote pipeline and the TCP
+/// server's wire dispatch.
 ///
 /// The first block is the *user tier* (handled by the trusted
 /// anonymizer); the second block is the *server tier* (handled by a
@@ -206,11 +198,9 @@ pub enum Response {
     /// The executing engine cannot serve this request (e.g. a private
     /// buddy query over a wire link that has no such message).
     Unsupported(&'static str),
-    /// The engine refused the request under overload: its deadline had
-    /// expired, an admission queue was full, the CoDel control law was
-    /// shedding its priority class, or the fail-private guard vetoed a
-    /// cloak that missed its profile. The work was **not** done; the
-    /// client may retry after the hinted delay.
+    /// The plane refused the request: its deadline had expired, or the
+    /// plane is a warm standby that does not serve yet. The work was
+    /// **not** done; the client may retry after the hinted delay.
     Overloaded {
         /// How long the sender should wait before retrying.
         retry_after: Duration,
@@ -301,10 +291,9 @@ impl Response {
     }
 }
 
-/// The one interface every Casper assembly implements: feed it a typed
+/// The one interface both Casper façades implement: feed it a typed
 /// [`Request`], get a typed [`Response`]. Harnesses written against
-/// `dyn Engine` run unchanged over [`Casper`], [`RemoteCasper`], or
-/// [`ParallelEngine`].
+/// `dyn Engine` run unchanged over [`Casper`] or [`RemoteCasper`].
 ///
 /// [`Casper`]: crate::Casper
 /// [`RemoteCasper`]: crate::RemoteCasper
@@ -437,7 +426,7 @@ impl ServerPlane {
     ) -> Response {
         if deadline.is_expired() {
             return Response::Overloaded {
-                retry_after: crate::overload::OverloadConfig::default().retry_after,
+                retry_after: crate::overload::RETRY_AFTER,
             };
         }
         self.execute(req)
@@ -461,29 +450,6 @@ impl ServerPlane {
         seqs.insert(handle, seq);
         server.upsert_private_region(PrivateHandle(handle), region);
         true
-    }
-
-    /// Applies a batch of freshly-cloaked regions in one pass: one
-    /// sequencing-lock acquisition and one server write lock for the
-    /// whole batch, instead of one of each per region. Every region is
-    /// minted a fresh plane-monotone sequence, so the same stale-discard
-    /// rule as [`Request::UpsertRegion`] with `seq == 0` applies. Returns
-    /// how many regions were applied (stale ones are skipped but count as
-    /// acked, matching the per-op path).
-    pub fn upsert_regions(&self, regions: impl IntoIterator<Item = (u64, Rect)>) -> usize {
-        let mut iter = regions.into_iter().peekable();
-        if iter.peek().is_none() {
-            return 0;
-        }
-        let mut seqs = lock(&self.seqs);
-        let mut server = write(&self.server);
-        let mut applied = 0usize;
-        for (handle, region) in iter {
-            if Self::apply_region(&mut seqs, &mut server, handle, self.mint_seq(), region) {
-                applied += 1;
-            }
-        }
-        applied
     }
 
     /// Executes one server-tier request. User-tier requests come back
@@ -638,14 +604,6 @@ pub trait AnonymizerService: Send + Sync {
     fn shard_hint(&self, _pos: Point) -> usize {
         0
     }
-    /// Which internal partition each listed user's *current home*
-    /// belongs to — the per-user analogue of
-    /// [`shard_hint`](Self::shard_hint), giving cloak batches shard
-    /// affinity without a position lookup per user. Unknown users map to
-    /// partition 0. Unsharded services use a single partition.
-    fn home_hints(&self, uids: &[UserId]) -> Vec<usize> {
-        vec![0; uids.len()]
-    }
     /// Cloaks many users at once, output in input order. The default is
     /// a per-user loop; sharded services override it to group users by
     /// home shard, take each shard lock once, and walk every group in
@@ -709,7 +667,7 @@ impl<P: PyramidStructure + Send + Sync> AnonymizerService for RwLock<P> {
 
 /// The sharded anonymizer joins the service natively: its own internal
 /// locking is already per shard, and its shard index is the natural
-/// batch-affinity key.
+/// checkpoint partition.
 impl AnonymizerService for crate::ShardedAnonymizer {
     fn register(&self, uid: UserId, profile: Profile, pos: Point) -> MaintenanceStats {
         crate::ShardedAnonymizer::register(self, uid, profile, pos)
@@ -755,551 +713,8 @@ impl AnonymizerService for crate::ShardedAnonymizer {
         self.shard_of(pos)
     }
 
-    fn home_hints(&self, uids: &[UserId]) -> Vec<usize> {
-        crate::ShardedAnonymizer::home_hints(self, uids)
-    }
-
     fn cloak_many(&self, uids: &[UserId]) -> Vec<Option<CloakedRegion>> {
         self.cloak_users(uids)
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Cap on each worker's job queue; senders block (back-pressure) rather
-/// than buffering unboundedly.
-const WORKER_QUEUE_CAP: usize = 1024;
-
-/// A small fixed pool of worker threads, each with its **own** job
-/// queue. Keyed dispatch ([`WorkerPool::run_on`]) pins related work —
-/// e.g. all of one user's updates — to one worker, which preserves
-/// per-key ordering.
-struct WorkerPool {
-    senders: Vec<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.senders.len())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns `threads` workers (at least one).
-    fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let mut senders = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = sync_channel::<Job>(WORKER_QUEUE_CAP);
-            senders.push(tx);
-            workers.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            }));
-        }
-        Self { senders, workers }
-    }
-
-    /// Number of worker threads.
-    fn threads(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Runs `job` on the worker selected by `key` (modulo the pool
-    /// size). Same key → same worker → per-key FIFO ordering.
-    fn run_on(&self, key: usize, job: impl FnOnce() + Send + 'static) {
-        let _ = self.senders[key % self.senders.len()].send(Box::new(job));
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing every queue ends each worker's recv loop; then join.
-        self.senders.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Batch mutations a worker applies between server-plane region
-/// flushes. Bounds how stale a concurrent reader can observe the plane
-/// mid-batch while amortising the plane's locks over a whole chunk.
-const REGION_FLUSH_CHUNK: usize = 128;
-
-/// The concurrent Casper assembly: the one trusted-tier pipeline over a
-/// shared [`AnonymizerService`] and the one [`ServerPlane`], plus a
-/// worker pool that executes batches in parallel.
-///
-/// Single requests ([`ParallelEngine::submit`]) run on the caller's
-/// thread — any number of threads may submit concurrently. Batch entry
-/// points ([`ParallelEngine::update_batch`] et al.) split the batch
-/// across the pool by a key: mutations by uid, so each user's requests
-/// apply in batch order, and cloaks by home shard
-/// ([`AnonymizerService::home_hints`]), so each worker drives its own
-/// shard locks. Same-user requests that arrive on different threads are
-/// ordered by their callers.
-#[derive(Debug)]
-pub struct ParallelEngine<A: AnonymizerService + 'static> {
-    core: Arc<Pipeline<A, ServerPlane>>,
-    pool: WorkerPool,
-}
-
-impl ParallelEngine<crate::ShardedAnonymizer> {
-    /// The standard concurrent deployment: a sharded anonymizer
-    /// (equivalent to one `global_height`-level pyramid, split at
-    /// `shard_level`) driven by `threads` workers.
-    pub fn sharded(global_height: u8, shard_level: u8, threads: usize) -> Self {
-        Self::new(
-            crate::ShardedAnonymizer::new(global_height, shard_level),
-            threads,
-        )
-    }
-}
-
-impl<A: AnonymizerService + 'static> ParallelEngine<A> {
-    /// Assembles the engine around any anonymizer service with the
-    /// paper's defaults (4 filters, 64-byte records over 100 Mbps).
-    pub fn new(anonymizer: A, threads: usize) -> Self {
-        Self {
-            core: Arc::new(Pipeline::local(anonymizer)),
-            pool: WorkerPool::new(threads),
-        }
-    }
-
-    fn configure(&mut self) -> &mut Pipeline<A, ServerPlane> {
-        Arc::get_mut(&mut self.core).expect("configure the engine before sharing it")
-    }
-
-    /// Overrides the filter-count variant of the query processor.
-    pub fn with_filters(mut self, filters: FilterCount) -> Self {
-        self.configure().filters = filters;
-        self
-    }
-
-    /// Overrides the server plane's boot id (§8 restart detection).
-    /// The durability layer passes the recovered boot epoch here so
-    /// clients' idempotent replay composes with crash recovery.
-    pub fn with_boot_id(mut self, boot_id: u64) -> Self {
-        self.configure().link.set_boot_id(boot_id);
-        self
-    }
-
-    /// Overrides the transmission model.
-    pub fn with_transmission(mut self, model: TransmissionModel) -> Self {
-        self.configure().transmission = model;
-        self
-    }
-
-    /// Read access to the anonymizer service.
-    pub fn anonymizer(&self) -> &A {
-        &self.core.anonymizer
-    }
-
-    /// The engine's server plane (e.g. to share with a
-    /// [`crate::net::NetworkServer`]-style front end or inspect state).
-    pub fn plane(&self) -> &ServerPlane {
-        &self.core.link
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Loads the public target objects.
-    pub fn load_targets(&self, targets: impl IntoIterator<Item = (ObjectId, Point)>) {
-        self.core.link.write().load_public_targets(targets);
-    }
-
-    /// Runs a read-only closure against the hosted server.
-    pub fn with_server<R>(&self, f: impl FnOnce(&CasperServer) -> R) -> R {
-        f(&self.core.link.read())
-    }
-
-    /// Runs a mutating closure against the hosted server.
-    pub fn with_server_mut<R>(&self, f: impl FnOnce(&mut CasperServer) -> R) -> R {
-        f(&mut self.core.link.write())
-    }
-
-    /// Executes one request on the calling thread. Thread-safe: any
-    /// number of threads may submit concurrently, and operations on
-    /// different shards of a sharded anonymizer proceed in parallel.
-    pub fn submit(&self, req: Request) -> Response {
-        self.core.execute(req)
-    }
-
-    /// Registers a batch of users across the worker pool, keyed by uid.
-    /// Returns how many registrations were applied.
-    pub fn register_batch(&self, users: Vec<(UserId, Profile, Point)>) -> usize {
-        self.mutate_batch(
-            users,
-            |&(uid, ..)| uid,
-            |anonymizer, (uid, profile, pos)| {
-                anonymizer.register(uid, profile, pos);
-            },
-        )
-    }
-
-    /// Applies a batch of location updates across the worker pool, keyed
-    /// by uid: one user's moves run on one worker in batch order, so the
-    /// last one in the batch is where the user ends up. Returns how many
-    /// were applied.
-    pub fn update_batch(&self, updates: Vec<(UserId, Point)>) -> usize {
-        self.mutate_batch(
-            updates,
-            |&(uid, _)| uid,
-            |anonymizer, (uid, pos)| {
-                anonymizer.update_location(uid, pos);
-            },
-        )
-    }
-
-    /// Cloaks a batch of users across the worker pool, returning the
-    /// regions in input order. Work is keyed by each user's *home*
-    /// partition ([`AnonymizerService::home_hints`]), so every worker
-    /// drives its own shards and the sharded service's grouped,
-    /// Morton-ordered batch cloak ([`AnonymizerService::cloak_many`])
-    /// runs once per bucket instead of locking per user.
-    pub fn cloak_batch(&self, uids: &[UserId]) -> Vec<Option<CloakedRegion>> {
-        self.fan_out(
-            uids.to_vec(),
-            |uids| self.core.anonymizer.home_hints(uids),
-            |core, bucket| core.anonymizer.cloak_many(&bucket),
-        )
-    }
-
-    /// Applies `op` to every item on the pool, keyed by the uid `uid_of`
-    /// names, and returns how many were applied.
-    ///
-    /// Each worker refreshes the server-side regions its mutations made
-    /// stale in chunks of [`REGION_FLUSH_CHUNK`] through the plane's
-    /// batched upsert ([`ServerPlane::upsert_regions`]) instead of one
-    /// plane round-trip per item. A flush cloaks the users' state *at
-    /// flush time*, and a user's mutations and flushes all run on one
-    /// worker in batch order, so the user's last flush follows the
-    /// user's last mutation.
-    fn mutate_batch<T: Send + 'static>(
-        &self,
-        items: Vec<T>,
-        uid_of: impl Fn(&T) -> UserId + Copy + Send + 'static,
-        op: impl Fn(&A, T) + Copy + Send + 'static,
-    ) -> usize {
-        let applied: Vec<()> = self.fan_out(
-            items,
-            |items| items.iter().map(|item| uid_of(item).0 as usize).collect(),
-            move |core, bucket| {
-                let mut dirty: Vec<UserId> = Vec::with_capacity(REGION_FLUSH_CHUNK);
-                let applied = bucket
-                    .into_iter()
-                    .map(|item| {
-                        let uid = uid_of(&item);
-                        op(&core.anonymizer, item);
-                        if dirty.last() != Some(&uid) {
-                            dirty.push(uid);
-                        }
-                        if dirty.len() >= REGION_FLUSH_CHUNK {
-                            core.flush_regions(&dirty);
-                            dirty.clear();
-                        }
-                    })
-                    .collect();
-                core.flush_regions(&dirty);
-                applied
-            },
-        );
-        applied.len()
-    }
-
-    /// The one batch fan-out. Buckets `items` by `key % threads` (`keys`
-    /// gives one key per item), runs `job` once per non-empty bucket on
-    /// that bucket's worker, and returns `job`'s per-item results in
-    /// input order. Items with one key land in one bucket in batch
-    /// order. A one-worker pool runs the whole batch inline on the
-    /// caller, without computing keys.
-    ///
-    /// Panics if a worker died mid-batch, as a panicking job would on
-    /// the caller's own thread.
-    fn fan_out<T, R>(
-        &self,
-        items: Vec<T>,
-        keys: impl FnOnce(&[T]) -> Vec<usize>,
-        job: impl Fn(&Pipeline<A, ServerPlane>, Vec<T>) -> Vec<R> + Clone + Send + 'static,
-    ) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Default + Send + 'static,
-    {
-        let threads = self.pool.threads();
-        if threads == 1 {
-            return job(&self.core, items);
-        }
-        let len = items.len();
-        let keys = keys(&items);
-        // Each bucket remembers its items' input slots so the results can
-        // be put back in input order.
-        let mut buckets: Vec<(Vec<usize>, Vec<T>)> =
-            (0..threads).map(|_| (Vec::new(), Vec::new())).collect();
-        for (slot, (item, key)) in items.into_iter().zip(keys).enumerate() {
-            let bucket = &mut buckets[key % threads];
-            bucket.0.push(slot);
-            bucket.1.push(item);
-        }
-        let (tx, rx) = sync_channel::<(Vec<usize>, Vec<R>)>(threads);
-        for (worker, (slots, bucket)) in buckets.into_iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let core = Arc::clone(&self.core);
-            let job = job.clone();
-            let tx = tx.clone();
-            self.pool.run_on(worker, move || {
-                let _ = tx.send((slots, job(&core, bucket)));
-            });
-        }
-        drop(tx);
-        // Ends once every job has sent (or died and dropped its sender).
-        let mut out: Vec<R> = (0..len).map(|_| R::default()).collect();
-        let mut received = 0usize;
-        while let Ok((slots, results)) = rx.recv() {
-            received += slots.len();
-            for (slot, result) in slots.into_iter().zip(results) {
-                out[slot] = result;
-            }
-        }
-        assert_eq!(received, len, "a batch worker died mid-batch");
-        out
-    }
-}
-
-/// Runtime control of the hosted server's candidate cache.
-impl<A: AnonymizerService + 'static> ParallelEngine<A> {
-    /// Enables or disables the server-tier candidate cache (on by
-    /// default). The cache is internally sharded and safe under any
-    /// number of concurrent submitters.
-    pub fn with_query_cache(self, enabled: bool) -> Self {
-        self.core.link.write().set_query_cache_enabled(enabled);
-        self
-    }
-
-    /// Replaces the hosted server's cache with a fresh one under
-    /// `config`.
-    pub fn with_query_cache_config(self, config: casper_qp::cache::CacheConfig) -> Self {
-        self.core.link.write().set_query_cache_config(config);
-        self
-    }
-
-    /// Hit/miss/invalidation counters of the hosted server's candidate
-    /// cache (`None` when disabled).
-    pub fn cache_stats(&self) -> Option<casper_qp::cache::CacheStats> {
-        self.core.link.read().cache_stats()
-    }
-}
-
-/// Overload control: admission gates, deadline propagation and the
-/// fail-private guard (§13 of DESIGN.md).
-impl<A: AnonymizerService + 'static> ParallelEngine<A> {
-    /// Installs the overload-control subsystem: one admission gate per
-    /// worker, CoDel shedding, deadline enforcement and the fail-private
-    /// guard. Without this call the engine keeps its always-admit
-    /// behaviour.
-    pub fn with_overload(mut self, cfg: crate::overload::OverloadConfig) -> Self {
-        let slots = self.pool.threads();
-        self.configure().overload = Some(Arc::new(crate::overload::OverloadState::new(cfg, slots)));
-        self
-    }
-
-    /// Point-in-time overload counters (`None` until
-    /// [`ParallelEngine::with_overload`] installs the subsystem).
-    pub fn overload_stats(&self) -> Option<crate::overload::OverloadStats> {
-        self.core.overload.as_ref().map(|s| s.stats())
-    }
-
-    /// Admission slot key for a request: the stable per-entity id, so
-    /// one user's (or handle's) work serialises on one gate and one
-    /// worker while distinct entities spread across the pool.
-    fn overload_key(req: &Request) -> u64 {
-        match *req {
-            Request::Register { uid, .. }
-            | Request::UpdateLocation { uid, .. }
-            | Request::UpdateProfile { uid, .. }
-            | Request::SignOff { uid }
-            | Request::Cloak { uid }
-            | Request::QueryNn { uid, .. }
-            | Request::QueryNnPrivate { uid } => uid.0,
-            Request::UpsertRegion { handle, .. } | Request::RemoveRegion { handle } => handle,
-            Request::NnCandidates { pseudonym, .. } => pseudonym,
-            Request::NnPrivateCandidates { .. }
-            | Request::AdminCount { .. }
-            | Request::Metrics
-            | Request::Replicate { .. } => 0,
-        }
-    }
-
-    /// Executes one request under a deadline, admitted in the priority
-    /// class of its request kind. Equivalent to
-    /// [`ParallelEngine::submit`] when overload control is not
-    /// installed (an already-expired deadline still sheds).
-    pub fn execute_with_deadline(
-        &self,
-        req: Request,
-        deadline: crate::overload::Deadline,
-    ) -> Response {
-        // One trace per request (unless the caller already opened one):
-        // the admission sojourn, shard lock waits, pyramid walk and qp
-        // execution on the worker all hang off this root.
-        let _root = if crate::tel::span_current().is_some() {
-            crate::tel::span("request")
-        } else {
-            crate::tel::span_root(casper_telemetry::next_trace_id(), "request")
-        };
-        self.dispatch(req, deadline)
-            .recv()
-            .unwrap_or(Response::Unsupported("worker pool unavailable"))
-    }
-
-    /// Executes a batch of `(request, deadline)` pairs across the
-    /// worker pool with admission control per item, preserving input
-    /// order in the responses. Shed items come back
-    /// [`Response::Overloaded`] without occupying a worker.
-    pub fn execute_batch_with_deadline(
-        &self,
-        reqs: Vec<(Request, crate::overload::Deadline)>,
-    ) -> Vec<Response> {
-        let n = reqs.len();
-        let pending: Vec<(usize, Receiver<Response>)> = reqs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (req, deadline))| (i, self.dispatch(req, deadline)))
-            .collect();
-        let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
-        for (i, rx) in pending {
-            out[i] = Some(
-                rx.recv()
-                    .unwrap_or(Response::Unsupported("worker pool unavailable")),
-            );
-        }
-        out.into_iter().flatten().collect()
-    }
-
-    /// Admission-checks `req` and either enqueues it on its slot's
-    /// worker or short-circuits a shed; the returned channel always
-    /// yields exactly one response.
-    fn dispatch(&self, req: Request, deadline: crate::overload::Deadline) -> Receiver<Response> {
-        let (tx, rx) = sync_channel::<Response>(1);
-        let Some(state) = self.core.overload.as_ref() else {
-            // No subsystem installed: honour an expired deadline (the
-            // caller has stopped waiting) but otherwise run inline.
-            let resp = if deadline.is_expired() {
-                Response::Overloaded {
-                    retry_after: crate::overload::OverloadConfig::default().retry_after,
-                }
-            } else {
-                self.core.execute(req)
-            };
-            let _ = tx.send(resp);
-            return rx;
-        };
-        // Hand the dispatching thread's span context to the worker so the
-        // request's spans stay in one trace across the queue hop.
-        let parent_ctx = crate::tel::span_current();
-        let trace_id = parent_ctx.map_or(0, |c| c.trace_id);
-        let pri = crate::overload::Priority::of(&req);
-        let slot = state.slot_of(Self::overload_key(&req));
-        if let Err(shed) = state.admit(slot, pri, deadline) {
-            let _ = tx.send(shed_response(&self.core, trace_id, &req, shed));
-            return rx;
-        }
-        // Remember when the request was enqueued: the admission sojourn
-        // is over before the worker has any context to open a live span
-        // in.
-        let enqueued = Instant::now();
-        let enqueued_ns = casper_telemetry::now_ns();
-        let core = Arc::clone(&self.core);
-        let state = Arc::clone(state);
-        self.pool.run_on(slot, move || {
-            let _adopted = parent_ctx.map(crate::tel::span_adopt);
-            let admitted = state.start(slot, enqueued, pri, deadline);
-            if let Some(ctx) = parent_ctx {
-                crate::tel::span_manual(
-                    ctx,
-                    "admission_sojourn",
-                    enqueued_ns,
-                    casper_telemetry::now_ns(),
-                    if admitted.is_ok() { "ok" } else { "shed" },
-                    format!("slot={slot}"),
-                );
-                if admitted.is_err() {
-                    crate::tel::span_flag(ctx.trace_id);
-                }
-            }
-            let resp = match admitted {
-                Err(shed) => shed_response(&core, trace_id, &req, shed),
-                Ok(()) => {
-                    let resp = core.execute(req.clone());
-                    guard_fail_private(&core, trace_id, &state, &req, resp)
-                }
-            };
-            let _ = tx.send(resp);
-        });
-        rx
-    }
-}
-
-/// Answers a shed request, auditing the refusal when the request would
-/// have produced a cloak (the sheds the privacy audit plane documents).
-fn shed_response<A: AnonymizerService>(
-    core: &Pipeline<A, ServerPlane>,
-    trace_id: u64,
-    req: &Request,
-    shed: crate::overload::Shed,
-) -> Response {
-    if let Request::Cloak { uid } | Request::QueryNn { uid, .. } | Request::QueryNnPrivate { uid } =
-        *req
-    {
-        core.audit_cloak_decision(trace_id, uid, None, false, shed.reason.label());
-    }
-    Response::Overloaded {
-        retry_after: shed.retry_after,
-    }
-}
-
-/// The fail-private guard: a produced cloak that does not satisfy the
-/// user's `(k, A_min)` profile is **never** released — under any load
-/// the response degrades to an explicit
-/// [`Response::Overloaded`] shed instead of a weaker region. Privacy
-/// fails closed; availability is what gives. Both outcomes land in the
-/// audit log, so the post-hoc auditor can prove the vetoes happened.
-fn guard_fail_private<A: AnonymizerService>(
-    core: &Pipeline<A, ServerPlane>,
-    trace_id: u64,
-    state: &crate::overload::OverloadState,
-    req: &Request,
-    resp: Response,
-) -> Response {
-    if let (Request::Cloak { uid }, Response::Cloaked(Some(region))) = (req, &resp) {
-        if let Some(profile) = core.anonymizer.profile_of(*uid) {
-            if region.user_count < profile.k || region.rect.area() < profile.a_min {
-                let shed = state.note_fail_private();
-                core.audit_cloak_decision(trace_id, *uid, Some(region), false, shed.reason.label());
-                return Response::Overloaded {
-                    retry_after: shed.retry_after,
-                };
-            }
-        }
-        core.audit_cloak_decision(trace_id, *uid, Some(region), true, "");
-    }
-    resp
-}
-
-impl<A: AnonymizerService + 'static> Engine for ParallelEngine<A> {
-    fn execute(&mut self, req: Request) -> Response {
-        self.submit(req)
     }
 }
 
@@ -1307,7 +722,6 @@ impl<A: AnonymizerService + 'static> Engine for ParallelEngine<A> {
 mod tests {
     use super::*;
     use casper_grid::AdaptivePyramid;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn uid(n: u64) -> UserId {
         UserId(n)
@@ -1483,231 +897,5 @@ mod tests {
             MaintenanceStats::ZERO
         );
         assert_eq!(AnonymizerService::user_count(&service), 10);
-    }
-
-    #[test]
-    fn worker_pool_keyed_dispatch_is_fifo_per_key() {
-        let pool = WorkerPool::new(3);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..100u64 {
-            let log = Arc::clone(&log);
-            pool.run_on(2, move || lock(&log).push(i));
-        }
-        drop(pool); // joins: all jobs done
-        let seen = lock(&log).clone();
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-    }
-
-    fn populated_engine(threads: usize) -> ParallelEngine<crate::ShardedAnonymizer> {
-        let engine = ParallelEngine::sharded(8, 2, threads);
-        let mut rng = StdRng::seed_from_u64(3);
-        engine.load_targets((0..400).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
-        let users: Vec<(UserId, Profile, Point)> = (0..200)
-            .map(|i| {
-                (
-                    uid(i),
-                    Profile::new(rng.gen_range(1..8), 0.0),
-                    Point::new(rng.gen(), rng.gen()),
-                )
-            })
-            .collect();
-        assert_eq!(engine.register_batch(users), 200);
-        engine
-    }
-
-    #[test]
-    fn engine_end_to_end_query_answers_correctly() {
-        let engine = populated_engine(4);
-        for i in 0..30u64 {
-            let Response::Outcome(Some(QueryOutcome::Answered(ans))) =
-                engine.submit(Request::QueryNn {
-                    uid: uid(i),
-                    filters: None,
-                    category: None,
-                })
-            else {
-                panic!("expected an answer for user {i}");
-            };
-            let pos = engine.anonymizer().position_of(uid(i)).unwrap();
-            let exact = ans.exact.expect("targets are loaded");
-            // Verify against a brute-force scan.
-            let mut check_rng = StdRng::seed_from_u64(3);
-            let best = (0..400)
-                .map(|_| Point::new(check_rng.gen(), check_rng.gen()).dist(pos))
-                .fold(f64::INFINITY, f64::min);
-            assert!(
-                (exact.mbr.min.dist(pos) - best).abs() < 1e-9,
-                "user {i}: engine refinement diverged from brute force"
-            );
-        }
-    }
-
-    #[test]
-    fn engine_keeps_server_side_regions_in_step() {
-        let engine = populated_engine(2);
-        assert_eq!(engine.with_server(|s| s.private_count()), 200);
-        engine.submit(Request::SignOff { uid: uid(0) });
-        assert_eq!(engine.with_server(|s| s.private_count()), 199);
-        assert_eq!(engine.anonymizer().user_count(), 199);
-        // An admin count sees regions, never exact points.
-        let Response::Count(ans) = engine.submit(Request::AdminCount { area: Rect::unit() }) else {
-            panic!("expected a count");
-        };
-        assert_eq!(ans.max_count(), 199);
-    }
-
-    #[test]
-    fn update_batch_moves_users_and_refreshes_regions() {
-        let engine = populated_engine(4);
-        let moves: Vec<(UserId, Point)> = (0..200u64)
-            .map(|i| {
-                (
-                    uid(i),
-                    Point::new((i % 20) as f64 / 20.0 + 0.01, (i / 20) as f64 / 20.0 + 0.01),
-                )
-            })
-            .collect();
-        assert_eq!(engine.update_batch(moves.clone()), 200);
-        let regions = engine.cloak_batch(&moves.iter().map(|&(u, _)| u).collect::<Vec<_>>());
-        for (i, region) in regions.iter().enumerate() {
-            let region = region.as_ref().expect("registered user");
-            assert!(
-                region.rect.contains(moves[i].1),
-                "user {i}: cloak misses the updated position"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_results_match_sequential_submission() {
-        let parallel = populated_engine(4);
-        let sequential = populated_engine(1);
-        let uids: Vec<UserId> = (0..200).map(uid).collect();
-        let a = parallel.cloak_batch(&uids);
-        let b = sequential.cloak_batch(&uids);
-        for (i, (pa, pb)) in a.iter().zip(b.iter()).enumerate() {
-            assert_eq!(
-                pa.as_ref().map(|r| r.rect),
-                pb.as_ref().map(|r| r.rect),
-                "user {i}: parallel cloak diverged"
-            );
-        }
-
-        // A seeded move script in which every user moves several times,
-        // across shards. With k = 1 and A_min = 0 a cloak is the user's
-        // own leaf cell, so the plane's final regions depend on nothing
-        // but where each user ended up.
-        let mut rng = StdRng::seed_from_u64(21);
-        let users: Vec<(UserId, Profile, Point)> = (0..50)
-            .map(|i| {
-                (
-                    uid(i),
-                    Profile::new(1, 0.0),
-                    Point::new(rng.gen(), rng.gen()),
-                )
-            })
-            .collect();
-        let script: Vec<(UserId, Point)> = (0..2_000)
-            .map(|_| (uid(rng.gen_range(0..50)), Point::new(rng.gen(), rng.gen())))
-            .collect();
-        let final_state = |engine: &ParallelEngine<crate::ShardedAnonymizer>| {
-            let positions: Vec<Option<Point>> = (0..50)
-                .map(|i| engine.anonymizer().position_of(uid(i)))
-                .collect();
-            let mut regions: Vec<(ObjectId, Rect)> = engine
-                .with_server(|s| s.private_entries())
-                .into_iter()
-                .map(|e| (e.id, e.mbr))
-                .collect();
-            regions.sort_by_key(|&(id, _)| id.0);
-            (positions, regions)
-        };
-        let reference = ParallelEngine::sharded(8, 2, 1);
-        reference.register_batch(users.clone());
-        for &(uid, pos) in &script {
-            reference.submit(Request::UpdateLocation { uid, pos });
-        }
-        let expected = final_state(&reference);
-        for threads in [1, 2, 4] {
-            let engine = ParallelEngine::sharded(8, 2, threads);
-            engine.register_batch(users.clone());
-            assert_eq!(engine.update_batch(script.clone()), script.len());
-            assert!(
-                final_state(&engine) == expected,
-                "{threads} worker(s): update_batch diverged from the submit loop"
-            );
-        }
-    }
-
-    /// One user's two moves in one batch, the first queued behind 2 000
-    /// other moves inside shard 0 and the second into shard 1. Whatever
-    /// the schedule, the user must end at the second position, on the
-    /// trusted side and on the plane.
-    #[test]
-    fn batch_mutations_keep_each_users_order() {
-        let shard_0 =
-            |rng: &mut StdRng| Point::new(rng.gen_range(0.0..0.25), rng.gen_range(0.0..0.25));
-        let mover = uid(1_000);
-        let (first, last) = (Point::new(0.125, 0.125), Point::new(0.375, 0.125));
-        let mut reordered = 0;
-        for round in 0..10u64 {
-            let engine = ParallelEngine::sharded(8, 2, 4);
-            let mut rng = StdRng::seed_from_u64(round);
-            let mut users: Vec<(UserId, Profile, Point)> = (0..200)
-                .map(|i| (uid(i), Profile::new(2, 0.0), shard_0(&mut rng)))
-                .collect();
-            users.push((mover, Profile::new(2, 0.0), Point::new(0.6, 0.6)));
-            engine.register_batch(users);
-            let mut moves: Vec<(UserId, Point)> = (0..2_000)
-                .map(|_| (uid(rng.gen_range(0..200)), shard_0(&mut rng)))
-                .collect();
-            moves.push((mover, first));
-            moves.push((mover, last));
-            assert_eq!(engine.update_batch(moves), 2_002);
-
-            let anonymizer = engine.anonymizer();
-            assert_eq!(
-                (anonymizer.shard_of(first), anonymizer.shard_of(last)),
-                (0, 1)
-            );
-            anonymizer.check_invariants().unwrap();
-            let served = engine.with_server(|s| {
-                s.private_entries()
-                    .into_iter()
-                    .find(|e| e.id == ObjectId(mover.0))
-                    .map(|e| e.mbr)
-            });
-            let cloak = anonymizer.cloak(mover).map(|r| r.rect);
-            if anonymizer.position_of(mover) != Some(last)
-                || served != cloak
-                || !served.is_some_and(|r| r.contains(last))
-            {
-                reordered += 1;
-            }
-        }
-        assert_eq!(
-            reordered, 0,
-            "rounds that left the user at the earlier move"
-        );
-    }
-
-    #[test]
-    fn single_lock_service_drives_the_same_engine() {
-        let engine = ParallelEngine::new(RwLock::new(AdaptivePyramid::new(7)), 2);
-        let users: Vec<(UserId, Profile, Point)> = (0..50)
-            .map(|i| {
-                (
-                    uid(i),
-                    Profile::new(2, 0.0),
-                    Point::new(0.2 + i as f64 * 1e-3, 0.4),
-                )
-            })
-            .collect();
-        assert_eq!(engine.register_batch(users), 50);
-        assert_eq!(engine.with_server(|s| s.private_count()), 50);
-        let Response::Cloaked(Some(region)) = engine.submit(Request::Cloak { uid: uid(1) }) else {
-            panic!("expected a cloak");
-        };
-        assert!(region.user_count >= 2);
     }
 }

@@ -328,127 +328,6 @@ impl Drop for ChaosProxy {
     }
 }
 
-/// One event of a seeded flash-crowd storm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StormEvent {
-    /// A user registers with a privacy profile (indexed into whatever
-    /// profile table the test supplies) at a position.
-    Register {
-        /// The arriving user.
-        uid: u64,
-        /// Where the user signs on.
-        at: casper_geometry::Point,
-        /// Index into the caller's profile table.
-        profile: usize,
-    },
-    /// An already-registered user moves.
-    Update {
-        /// The moving user.
-        uid: u64,
-        /// The new exact position.
-        to: casper_geometry::Point,
-    },
-    /// A snapshot nearest-neighbor query from a registered user.
-    Query {
-        /// The querying user.
-        uid: u64,
-    },
-}
-
-/// A seeded flash-crowd workload: a deterministic interleaved stream of
-/// registrations, movement updates, and snapshot queries concentrated
-/// around a spatial hotspot — the "everyone at the stadium asks for the
-/// nearest gas station at once" shape that overload tests replay at a
-/// multiple of provisioned capacity.
-///
-/// The first `users` events are always registrations (so every later
-/// event references a live user); after that, each event is a query with
-/// probability `query_ratio`, otherwise an update. The same `(seed,
-/// users, events)` triple yields the same sequence on every run.
-#[derive(Debug, Clone)]
-pub struct FlashCrowd {
-    rng: SplitMix64,
-    users: u64,
-    hotspot: casper_geometry::Point,
-    spread: f64,
-    query_ratio: f64,
-    profiles: usize,
-    emitted: u64,
-    events: u64,
-}
-
-impl FlashCrowd {
-    /// A storm of `events` total events over `users` users (seeded).
-    pub fn new(seed: u64, users: u64, events: u64) -> Self {
-        Self {
-            rng: SplitMix64::new(seed ^ 0xF1A5_C01D),
-            users: users.max(1),
-            hotspot: casper_geometry::Point::new(0.5, 0.5),
-            spread: 0.08,
-            query_ratio: 0.5,
-            profiles: 1,
-            emitted: 0,
-            events: events.max(users),
-        }
-    }
-
-    /// Concentrates the crowd around `hotspot` with positions jittered
-    /// by up to `spread` per axis (clamped to the unit square).
-    pub fn with_hotspot(mut self, hotspot: casper_geometry::Point, spread: f64) -> Self {
-        self.hotspot = hotspot;
-        self.spread = spread.abs();
-        self
-    }
-
-    /// Fraction of post-registration events that are queries (the rest
-    /// are movement updates).
-    pub fn with_query_ratio(mut self, ratio: f64) -> Self {
-        self.query_ratio = ratio.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Number of distinct privacy-profile slots to spread registrations
-    /// across (profile indexes cycle through `0..profiles`).
-    pub fn with_profiles(mut self, profiles: usize) -> Self {
-        self.profiles = profiles.max(1);
-        self
-    }
-
-    fn position(&mut self) -> casper_geometry::Point {
-        let jitter = |rng: &mut SplitMix64, spread: f64| (rng.next_f64() * 2.0 - 1.0) * spread;
-        let x = (self.hotspot.x + jitter(&mut self.rng, self.spread)).clamp(0.0, 1.0);
-        let y = (self.hotspot.y + jitter(&mut self.rng, self.spread)).clamp(0.0, 1.0);
-        casper_geometry::Point::new(x, y)
-    }
-}
-
-impl Iterator for FlashCrowd {
-    type Item = StormEvent;
-
-    fn next(&mut self) -> Option<StormEvent> {
-        if self.emitted >= self.events {
-            return None;
-        }
-        let i = self.emitted;
-        self.emitted += 1;
-        if i < self.users {
-            let at = self.position();
-            return Some(StormEvent::Register {
-                uid: i,
-                at,
-                profile: (i as usize) % self.profiles,
-            });
-        }
-        let uid = self.rng.next_below(self.users);
-        if self.rng.next_f64() < self.query_ratio {
-            Some(StormEvent::Query { uid })
-        } else {
-            let to = self.position();
-            Some(StormEvent::Update { uid, to })
-        }
-    }
-}
-
 /// Fills `buf` from `src`, keeping progress across read timeouts so the
 /// stop flag is observed. `false` on shutdown, EOF or a socket error:
 /// all three end the pair the same way.
@@ -607,50 +486,6 @@ mod tests {
         assert_eq!(diffs, 1);
         // Empty payloads are a no-op, not a panic.
         inj.corrupt_byte(&mut []);
-    }
-
-    #[test]
-    fn flash_crowd_is_deterministic_and_well_formed() {
-        let make = || {
-            FlashCrowd::new(42, 16, 200)
-                .with_hotspot(Point::new(0.3, 0.7), 0.05)
-                .with_query_ratio(0.4)
-                .with_profiles(3)
-        };
-        let a: Vec<StormEvent> = make().collect();
-        let b: Vec<StormEvent> = make().collect();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-        // The first `users` events register users 0..users in order.
-        for (i, ev) in a.iter().take(16).enumerate() {
-            match ev {
-                StormEvent::Register { uid, at, profile } => {
-                    assert_eq!(*uid, i as u64);
-                    assert_eq!(*profile, i % 3);
-                    assert!(at.x >= 0.0 && at.x <= 1.0 && at.y >= 0.0 && at.y <= 1.0);
-                }
-                other => panic!("event {i} should be a registration, got {other:?}"),
-            }
-        }
-        // Everything after references a registered user, and both kinds
-        // of post-registration events occur.
-        let (mut queries, mut updates) = (0u32, 0u32);
-        for ev in &a[16..] {
-            match ev {
-                StormEvent::Query { uid } => {
-                    assert!(*uid < 16);
-                    queries += 1;
-                }
-                StormEvent::Update { uid, to } => {
-                    assert!(*uid < 16);
-                    assert!((to.x - 0.3).abs() <= 0.05 + 1e-12);
-                    assert!((to.y - 0.7).abs() <= 0.05 + 1e-12);
-                    updates += 1;
-                }
-                StormEvent::Register { .. } => panic!("late registration"),
-            }
-        }
-        assert!(queries > 0 && updates > 0);
     }
 
     #[test]

@@ -31,24 +31,25 @@
 //!   reconnect-and-replay). [`RemoteCasper`] assembles the pipeline
 //!   across it with graceful degradation.
 //! * [`engine`] — the **unified request plane**: the typed
-//!   [`Request`]/[`Response`] vocabulary, the [`Engine`] interface every
-//!   assembly implements, the single [`engine::ServerPlane`] executor
-//!   behind both the local pipeline and the TCP server, and
-//!   [`ParallelEngine`] — the concurrent assembly that drives a
-//!   [`ShardedAnonymizer`] with per-shard parallelism and batch entry
-//!   points.
+//!   [`Request`]/[`Response`] vocabulary, the [`Engine`] interface both
+//!   façades implement, the single [`engine::ServerPlane`] executor
+//!   behind the local pipeline and the TCP server, and the
+//!   [`AnonymizerService`] trait through which a [`ShardedAnonymizer`]
+//!   serves threads in parallel, one lock per shard. A request is served
+//!   one way: trusted tier, then `ServerPlane`, then client refinement —
+//!   in process ([`Casper`]) or over the wire ([`RemoteCasper`], or
+//!   [`NetworkClient`] → [`NetworkServer`]).
 //! * [`faults`] — a deterministic chaos proxy that
 //!   drops/corrupts/truncates/delays frames to test the above.
 //! * [`durability`] — crash safety for the trusted tier: a
 //!   group-committing write-ahead log, `CSPA` checkpoints, torn-tail
 //!   recovery with boot-epoch bumping, and a fault-injecting storage for
 //!   kill-loop testing.
-//! * [`overload`] — overload control across the request plane: deadline
-//!   propagation on every hop, per-shard admission queues with CoDel
-//!   shedding and two priority classes, per-connection circuit breakers,
-//!   and a fail-private guard whose hard invariant is **fail private, not
-//!   fail open** — cloaking never weakens `(k, A_min)` under load; work
-//!   is shed instead.
+//! * [`overload`] — overload control on the wire path: deadline
+//!   propagation on every hop (expired work is refused, not computed),
+//!   per-connection circuit breakers, and the refusal reasons. Its hard
+//!   invariant is **fail private, not fail open**: the pipeline behind
+//!   both façades never releases a cloak that misses its `(k, A_min)`.
 //! * [`replication`] — high availability for the trusted tier: the
 //!   primary streams its WAL to a hot standby over the wire protocol,
 //!   client acknowledgement is gated on a configurable durability mode,
@@ -89,15 +90,12 @@ pub use client::CasperClient;
 pub use continuous::{ContinuousNn, ContinuousSet};
 pub use cost::TransmissionModel;
 pub use durability::{
-    recover_sharded_engine, DirStorage, DurabilityConfig, DurabilityError, DurableAnonymizer,
-    MemStorage, RecoveryReport, Storage,
+    DirStorage, DurabilityConfig, DurabilityError, DurableAnonymizer, MemStorage, RecoveryReport,
+    Storage,
 };
-pub use engine::{AnonymizerService, Engine, ParallelEngine, Request, Response};
+pub use engine::{AnonymizerService, Engine, Request, Response};
 pub use net::{ClientConfig, NetError, NetworkClient, NetworkServer, ServerConfig, MAX_FRAME_LEN};
-pub use overload::{
-    BreakerConfig, BreakerState, CircuitBreaker, Deadline, OverloadConfig, OverloadStats, Shed,
-    ShedReason,
-};
+pub use overload::{BreakerConfig, BreakerState, CircuitBreaker, Deadline, ShedReason};
 pub use pipeline::{Casper, EndToEndAnswer, EndToEndBreakdown, QueryOutcome, RemoteCasper};
 pub use policy::FilterPolicy;
 pub use replication::{

@@ -264,7 +264,7 @@ pub struct NetStats {
     /// disconnects never look like protocol violations.
     pub half_frame_disconnects: u64,
     /// Requests answered with [`Message::Overloaded`] instead of being
-    /// executed (expired deadline or shed by admission control).
+    /// executed (expired deadline, or a standby that does not serve yet).
     pub overloaded_replies: u64,
 }
 

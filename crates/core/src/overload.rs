@@ -1,40 +1,33 @@
-//! Overload control: deadlines, priority admission, circuit breaking, and
-//! the fail-private guard.
+//! Overload control on the wire path: deadlines, circuit breaking, and
+//! the reasons a request is refused instead of served.
 //!
 //! The anonymizer sits between millions of clients and the LBS server
-//! (paper §3), so a flash crowd hits the cloaking tier first. This module
-//! gives the request plane an explicit overload model:
+//! (paper §3), so a flash crowd hits the cloaking tier first. The request
+//! plane bounds the work it does for it in three places:
 //!
 //! * [`Deadline`] — a budget carried with every request through the
-//!   trusted-tier pipeline, its server link, the typed engine and the wire
-//!   frames (the 8 spare pad bytes of each 64-byte record), so
-//!   doomed work is dropped early instead of computed late.
-//! * **Admission control** — bounded per-shard queues in front of
-//!   [`ParallelEngine`](crate::ParallelEngine) with CoDel-style
-//!   shed-on-sojourn-time and two priority classes: snapshot queries are
-//!   shed first, registrations/location updates last (dropping an update
-//!   only costs freshness).
+//!   trusted-tier pipeline, its server link and the wire frames (the 8
+//!   spare pad bytes of each 64-byte record), so the client fast-fails
+//!   doomed work before the socket and the server answers expired frames
+//!   [`Response::Overloaded`](crate::Response::Overloaded) without
+//!   touching the plane.
 //! * [`CircuitBreaker`] — converts repeated timeouts on a connection into
-//!   fast-fail [`Response::Overloaded`](crate::Response::Overloaded)
-//!   replies with retry-after hints instead of letting every client burn
-//!   its full timeout budget.
+//!   fast-fail `Overloaded` replies with retry-after hints instead of
+//!   letting every client burn its full timeout budget.
+//! * The reactor itself: a per-pass frame budget and a per-connection
+//!   output cap bound what one connection can take (`reactor.rs`).
 //!
-//! **The hard invariant — fail private, not fail open.** No shedding
-//! decision ever touches the cloaking parameters: a returned cloak always
-//! satisfies the user's (k, A_min) profile. Under pressure the system
-//! gives up *latency* or sheds the request outright with an explicit
-//! `Overloaded` reply — it never weakens privacy. The engine enforces this
-//! mechanically (a cloak that somehow missed its profile is converted into
-//! a shed, see `ParallelEngine::execute_with_deadline`) and
-//! `tests/overload.rs` proves it under seeded flash crowds and stalled
-//! shards.
+//! **The hard invariant — fail private, not fail open.** No overload
+//! decision ever touches the cloaking parameters. The trusted-tier
+//! pipeline every façade shares releases a cloak to the server only when
+//! it satisfies the user's `(k, A_min)` profile; a cloak that misses it
+//! is refused with [`ShedReason::FailPrivate`] and audited `served:
+//! false`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::engine::Request;
-use crate::sync::lock;
+/// Retry-after hint of a request refused because its deadline had passed.
+pub(crate) const RETRY_AFTER: Duration = Duration::from_millis(50);
 
 /// A request deadline: the instant after which the answer is worthless.
 ///
@@ -109,52 +102,9 @@ impl Default for Deadline {
     }
 }
 
-/// Priority class of a request, ordered by who is shed first under load.
-///
-/// Snapshot queries have a waiting user and are shed first. Location
-/// updates and registrations keep the anonymizer's view of the world
-/// correct and are shed last (dropping one only costs freshness, but
-/// dropping many erodes the grid counts every other user's cloak depends
-/// on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Priority {
-    /// Interactive snapshot queries (NN, range, admin counts): shed first.
-    Query,
-    /// Registrations, profile changes and location updates: shed last.
-    Update,
-}
-
-impl Priority {
-    /// Classify a typed request.
-    pub(crate) fn of(req: &Request) -> Priority {
-        match req {
-            Request::QueryNn { .. }
-            | Request::QueryNnPrivate { .. }
-            | Request::NnCandidates { .. }
-            | Request::NnPrivateCandidates { .. }
-            | Request::AdminCount { .. }
-            | Request::Metrics => Priority::Query,
-            _ => Priority::Update,
-        }
-    }
-
-    /// Fraction of the admission queue this class may fill before it is
-    /// shed: queries three quarters, updates may use all of it.
-    fn fill_limit(self) -> f64 {
-        match self {
-            Priority::Query => 0.75,
-            Priority::Update => 1.0,
-        }
-    }
-}
-
 /// Why a request was shed instead of executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The per-shard admission queue was full for this priority class.
-    QueueFull,
-    /// CoDel: queue sojourn time stayed above target for a full interval.
-    Sojourn,
     /// The request's deadline had already passed.
     DeadlineExpired,
     /// A produced cloak failed its (k, A_min) profile: fail private.
@@ -165,21 +115,10 @@ impl ShedReason {
     /// Stable label for telemetry.
     pub fn label(self) -> &'static str {
         match self {
-            ShedReason::QueueFull => "queue_full",
-            ShedReason::Sojourn => "sojourn",
             ShedReason::DeadlineExpired => "deadline_expired",
             ShedReason::FailPrivate => "fail_private",
         }
     }
-}
-
-/// A shedding decision: the reason plus a retry-after hint for the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shed {
-    /// Why the request was not executed.
-    pub reason: ShedReason,
-    /// How long the client should wait before retrying.
-    pub retry_after: Duration,
 }
 
 /// State of a [`CircuitBreaker`].
@@ -312,259 +251,6 @@ impl CircuitBreaker {
     }
 }
 
-/// Tuning for the admission layer.
-#[derive(Debug, Clone)]
-pub struct OverloadConfig {
-    /// Per-shard admission-queue capacity (jobs admitted but not yet
-    /// executing). Must stay below the worker channel capacity so
-    /// admission, not channel backpressure, is what blocks.
-    pub queue_cap: usize,
-    /// CoDel sojourn target: queues whose jobs wait longer than this are
-    /// considered standing queues.
-    pub target_sojourn: Duration,
-    /// CoDel interval: how long sojourn must stay above target before
-    /// shedding starts.
-    pub codel_interval: Duration,
-    /// Retry-after hint handed to shed clients.
-    pub retry_after: Duration,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            queue_cap: 256,
-            target_sojourn: Duration::from_millis(5),
-            codel_interval: Duration::from_millis(100),
-            retry_after: Duration::from_millis(50),
-        }
-    }
-}
-
-/// CoDel control-law state for one shard queue.
-#[derive(Debug, Default)]
-struct CodelState {
-    first_above: Option<Instant>,
-    shedding: bool,
-    shed_next: Option<Instant>,
-    shed_count: u32,
-}
-
-impl CodelState {
-    /// Feed one dequeue-time sojourn observation; returns true when this
-    /// particular job should be shed. Sheds happen at a controlled
-    /// cadence (the CoDel control law), never wholesale: most jobs keep
-    /// running even while the queue is pressured, so the law keeps
-    /// receiving the observations it needs to disengage once the
-    /// standing backlog drains. `sheddable` is false for priorities the
-    /// law must never drop; those still feed the observation but cannot
-    /// consume a drop slot.
-    fn on_dequeue(
-        &mut self,
-        now: Instant,
-        sojourn: Duration,
-        target: Duration,
-        interval: Duration,
-        sheddable: bool,
-    ) -> bool {
-        if sojourn < target {
-            self.first_above = None;
-            self.shedding = false;
-            self.shed_count = 0;
-            self.shed_next = None;
-            return false;
-        }
-        let first = *self.first_above.get_or_insert(now);
-        if !self.shedding {
-            if sheddable && now.saturating_duration_since(first) >= interval {
-                self.shedding = true;
-                self.shed_count = 1;
-                self.shed_next = Some(now + Self::backoff(interval, 1));
-                return true;
-            }
-            return false;
-        }
-        match self.shed_next {
-            Some(next) if sheddable && now >= next => {
-                self.shed_count = self.shed_count.saturating_add(1);
-                self.shed_next = Some(now + Self::backoff(interval, self.shed_count));
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// CoDel control law: drop interval shrinks with `1/sqrt(count)`.
-    fn backoff(interval: Duration, count: u32) -> Duration {
-        Duration::from_secs_f64(interval.as_secs_f64() / f64::from(count.max(1)).sqrt())
-    }
-}
-
-/// One shard's admission gate: a depth counter plus CoDel state.
-#[derive(Debug)]
-struct ShardGate {
-    depth: AtomicUsize,
-    high_water: AtomicUsize,
-    codel: Mutex<CodelState>,
-}
-
-impl ShardGate {
-    fn new() -> Self {
-        ShardGate {
-            depth: AtomicUsize::new(0),
-            high_water: AtomicUsize::new(0),
-            codel: Mutex::new(CodelState::default()),
-        }
-    }
-}
-
-/// Point-in-time counters of the overload subsystem.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadStats {
-    /// Requests admitted past the gates.
-    pub admitted: u64,
-    /// Requests shed because a queue was full for their class.
-    pub shed_queue_full: u64,
-    /// Requests shed by the CoDel sojourn control law.
-    pub shed_sojourn: u64,
-    /// Requests shed because their deadline had already expired.
-    pub shed_expired: u64,
-    /// Cloaks converted to sheds by the fail-private guard.
-    pub shed_fail_private: u64,
-    /// Deepest any admission queue has been.
-    pub queue_high_water: usize,
-}
-
-impl OverloadStats {
-    /// Total requests shed for any reason.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_queue_full + self.shed_sojourn + self.shed_expired + self.shed_fail_private
-    }
-}
-
-/// Shared overload state attached to a `ParallelEngine`.
-#[derive(Debug)]
-pub(crate) struct OverloadState {
-    pub(crate) cfg: OverloadConfig,
-    gates: Vec<ShardGate>,
-    admitted: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_sojourn: AtomicU64,
-    shed_expired: AtomicU64,
-    shed_fail_private: AtomicU64,
-}
-
-impl OverloadState {
-    pub(crate) fn new(cfg: OverloadConfig, slots: usize) -> Self {
-        OverloadState {
-            gates: (0..slots.max(1)).map(|_| ShardGate::new()).collect(),
-            admitted: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_sojourn: AtomicU64::new(0),
-            shed_expired: AtomicU64::new(0),
-            shed_fail_private: AtomicU64::new(0),
-            cfg,
-        }
-    }
-
-    pub(crate) fn slot_of(&self, key: u64) -> usize {
-        (key % self.gates.len() as u64) as usize
-    }
-
-    pub(crate) fn shed(&self, reason: ShedReason) -> Shed {
-        let counter = match reason {
-            ShedReason::QueueFull => &self.shed_queue_full,
-            ShedReason::Sojourn => &self.shed_sojourn,
-            ShedReason::DeadlineExpired => &self.shed_expired,
-            ShedReason::FailPrivate => &self.shed_fail_private,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        crate::tel::record_shed(reason.label());
-        Shed {
-            reason,
-            retry_after: self.cfg.retry_after,
-        }
-    }
-
-    /// Gate a request at enqueue time. `Ok` increments the slot's depth —
-    /// the matching `start` must run exactly once.
-    pub(crate) fn admit(&self, slot: usize, pri: Priority, deadline: Deadline) -> Result<(), Shed> {
-        if deadline.is_expired() {
-            return Err(self.shed(ShedReason::DeadlineExpired));
-        }
-        let gate = &self.gates[slot];
-        let limit = ((self.cfg.queue_cap as f64) * pri.fill_limit()).ceil() as usize;
-        let grew = gate
-            .depth
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
-                (d < limit).then_some(d + 1)
-            });
-        match grew {
-            Err(_) => Err(self.shed(ShedReason::QueueFull)),
-            Ok(prev) => {
-                gate.high_water.fetch_max(prev + 1, Ordering::Relaxed);
-                Ok(())
-            }
-        }
-    }
-
-    /// Called by the worker when an admitted job reaches the front of its
-    /// queue. Feeds the CoDel law with the observed sojourn and makes the
-    /// final shed-or-run call.
-    pub(crate) fn start(
-        &self,
-        slot: usize,
-        enqueued: Instant,
-        pri: Priority,
-        deadline: Deadline,
-    ) -> Result<(), Shed> {
-        let gate = &self.gates[slot];
-        gate.depth.fetch_sub(1, Ordering::AcqRel);
-        let now = Instant::now();
-        let sojourn = now.saturating_duration_since(enqueued);
-        crate::tel::record_sojourn(sojourn);
-        {
-            let mut codel = lock(&gate.codel);
-            let drop_this = codel.on_dequeue(
-                now,
-                sojourn,
-                self.cfg.target_sojourn,
-                self.cfg.codel_interval,
-                pri < Priority::Update,
-            );
-            if drop_this {
-                return Err(self.shed(ShedReason::Sojourn));
-            }
-        }
-        if deadline.is_expired() {
-            return Err(self.shed(ShedReason::DeadlineExpired));
-        }
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        crate::tel::record_admitted();
-        Ok(())
-    }
-
-    /// Count a fail-private conversion (cloak missed its profile).
-    pub(crate) fn note_fail_private(&self) -> Shed {
-        self.shed(ShedReason::FailPrivate)
-    }
-
-    pub(crate) fn stats(&self) -> OverloadStats {
-        OverloadStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
-            shed_sojourn: self.shed_sojourn.load(Ordering::Relaxed),
-            shed_expired: self.shed_expired.load(Ordering::Relaxed),
-            shed_fail_private: self.shed_fail_private.load(Ordering::Relaxed),
-            queue_high_water: self
-                .gates
-                .iter()
-                .map(|g| g.high_water.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,86 +293,5 @@ mod tests {
         assert!(b.check(again).is_ok());
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn admission_respects_priority_fill_limits() {
-        let cfg = OverloadConfig {
-            queue_cap: 8,
-            ..OverloadConfig::default()
-        };
-        let state = OverloadState::new(cfg, 1);
-        // Queries may only fill three quarters of the queue (6 of 8 slots)...
-        for _ in 0..6 {
-            assert!(state.admit(0, Priority::Query, Deadline::none()).is_ok());
-        }
-        let shed = state
-            .admit(0, Priority::Query, Deadline::none())
-            .unwrap_err();
-        assert_eq!(shed.reason, ShedReason::QueueFull);
-        assert_eq!(shed.retry_after, state.cfg.retry_after);
-        // ...while updates use the full queue.
-        for _ in 0..2 {
-            assert!(state.admit(0, Priority::Update, Deadline::none()).is_ok());
-        }
-        assert!(state.admit(0, Priority::Update, Deadline::none()).is_err());
-        let stats = state.stats();
-        assert_eq!(stats.shed_queue_full, 2);
-        assert_eq!(stats.queue_high_water, 8);
-        // An expired deadline is shed before it ever takes a slot.
-        let expired = Deadline::at(Instant::now() - Duration::from_millis(1));
-        let shed = state.admit(0, Priority::Update, expired).unwrap_err();
-        assert_eq!(shed.reason, ShedReason::DeadlineExpired);
-    }
-
-    #[test]
-    fn codel_sheds_low_priority_after_standing_queue() {
-        let cfg = OverloadConfig {
-            queue_cap: 64,
-            target_sojourn: Duration::from_millis(1),
-            codel_interval: Duration::from_millis(5),
-            ..OverloadConfig::default()
-        };
-        let state = OverloadState::new(cfg, 1);
-        // Simulate a standing queue: a stream of jobs observed with
-        // sojourns far above target across more than one interval.
-        let mut shed = 0u32;
-        let mut ran = 0u32;
-        for _ in 0..50 {
-            assert!(state.admit(0, Priority::Query, Deadline::none()).is_ok());
-            let enq = Instant::now() - Duration::from_millis(20);
-            match state.start(0, enq, Priority::Query, Deadline::none()) {
-                Ok(()) => ran += 1,
-                Err(s) => {
-                    assert_eq!(s.reason, ShedReason::Sojourn);
-                    shed += 1;
-                }
-            }
-            // Updates feed the law but are never CoDel-shed, even while
-            // the queue is pressured.
-            assert!(state.admit(0, Priority::Update, Deadline::none()).is_ok());
-            let enq = Instant::now() - Duration::from_millis(20);
-            assert!(state
-                .start(0, enq, Priority::Update, Deadline::none())
-                .is_ok());
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(shed > 0, "CoDel never engaged");
-        assert!(
-            ran > 0,
-            "CoDel must shed at a cadence, not starve the class wholesale"
-        );
-        assert_eq!(state.stats().shed_sojourn, u64::from(shed));
-        // Recovery: one sub-target sojourn disengages the law entirely.
-        assert!(state.admit(0, Priority::Query, Deadline::none()).is_ok());
-        assert!(state
-            .start(0, Instant::now(), Priority::Query, Deadline::none())
-            .is_ok());
-        assert!(state.admit(0, Priority::Query, Deadline::none()).is_ok());
-        let enq = Instant::now() - Duration::from_millis(20);
-        // Above target again, but the interval clock restarts from zero.
-        assert!(state
-            .start(0, enq, Priority::Query, Deadline::none())
-            .is_ok());
     }
 }

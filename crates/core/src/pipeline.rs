@@ -4,18 +4,26 @@
 //!
 //! The user tier exists once, in [`Pipeline`]: a `&self` core generic
 //! over the trusted [`AnonymizerService`] and the [`ServerLink`] that
-//! reaches the server tier. Three façades share it. [`Casper`] puts a
+//! reaches the server tier. Two façades share it. [`Casper`] puts a
 //! locked pyramid in front of an in-process [`ServerPlane`] (the paper's
-//! measurement rig); [`crate::ParallelEngine`] puts any service in front
-//! of the same plane and adds a worker pool; [`RemoteCasper`] puts the
-//! locked pyramid in front of the real TCP boundary of [`crate::net`] —
-//! and degrades gracefully when that boundary fails: a cloaked update
-//! whose push fails stays owed by the [`NetworkClient`], which replays it
-//! before its next exchange, and queries report an explicit
-//! [`QueryOutcome::Degraded`] instead of panicking.
+//! measurement rig); [`RemoteCasper`] puts the locked pyramid in front of
+//! the real TCP boundary of [`crate::net`] — and degrades gracefully when
+//! that boundary fails: a cloaked update whose push fails stays owed by
+//! the [`NetworkClient`], which replays it before its next exchange, and
+//! queries report an explicit [`QueryOutcome::Degraded`] instead of
+//! panicking.
+//!
+//! The pipeline is also where the paper's privacy guarantee is enforced
+//! for both façades: a cloak crosses to the server tier only if it
+//! satisfies its user's `(k, A_min)`. One that misses it (a `k` larger
+//! than the population, say) is refused, fail private: it is audited
+//! `served: false` with reason `fail_private`, and nothing is sent. A
+//! user whose region was held back this way is pushed as soon as enough
+//! users have registered to hide them.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use casper_geometry::{Point, Rect};
@@ -25,7 +33,7 @@ use casper_qp::{FilterCount, RangeAnswer};
 
 use crate::engine::{AnonymizerService, Engine, Request, Response, ServerPlane};
 use crate::net::{ClientConfig, NetError, NetworkClient};
-use crate::overload::OverloadState;
+use crate::overload::ShedReason;
 use crate::sync::lock;
 use crate::{CasperClient, CasperServer, Category, PrivateHandle, TransmissionModel};
 
@@ -219,10 +227,9 @@ impl ServerLink for Mutex<NetworkClient> {
     }
 }
 
-/// The one trusted-tier pipeline behind [`Casper`], [`RemoteCasper`] and
-/// [`crate::ParallelEngine`]: a trusted [`AnonymizerService`] in front of
-/// whatever [`ServerLink`] reaches the server tier. Every method takes
-/// `&self`, so the concurrent engine shares one core across its workers.
+/// The one trusted-tier pipeline behind [`Casper`] and [`RemoteCasper`]:
+/// a trusted [`AnonymizerService`] in front of whatever [`ServerLink`]
+/// reaches the server tier. Every method takes `&self`.
 #[derive(Debug)]
 pub(crate) struct Pipeline<A, L> {
     pub(crate) anonymizer: A,
@@ -232,10 +239,11 @@ pub(crate) struct Pipeline<A, L> {
     /// End-to-end budget granted to each request at pipeline entry.
     /// `None` (the default) leaves operations unbounded.
     pub(crate) request_budget: Option<Duration>,
-    /// Overload-control state; `None` (the default) admits everything.
-    pub(crate) overload: Option<Arc<OverloadState>>,
     /// Wire pseudonyms: a fresh value per query, never the uid.
     next_pseudonym: AtomicU64,
+    /// Users whose newest region was refused (fail private) and so has
+    /// not reached the server tier.
+    held: Mutex<BTreeSet<UserId>>,
 }
 
 impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
@@ -248,8 +256,8 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
             transmission: TransmissionModel::default(),
             filters: FilterCount::Four,
             request_budget: None,
-            overload: None,
             next_pseudonym: AtomicU64::new(1),
+            held: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -262,14 +270,52 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
     }
 
     /// Refreshes the server-side cloaked region after a trusted-tier
-    /// mutation.
+    /// mutation, if the new cloak may be released; otherwise the user is
+    /// held back until [`release_held`](Self::release_held) can push it.
     fn push_region(&self, uid: UserId) {
-        if let Some(region) = self.anonymizer.cloak(uid) {
-            let _ = self.link.call(Request::UpsertRegion {
-                handle: uid.0,
-                seq: 0, // link-assigned
-                region: region.rect,
+        let Some(region) = self.anonymizer.cloak(uid) else {
+            return;
+        };
+        let released = self.release(None, uid, &region);
+        {
+            let mut held = lock(&self.held);
+            if released {
+                held.remove(&uid);
+            } else {
+                held.insert(uid);
+                return;
+            }
+        }
+        let _ = self.link.call(Request::UpsertRegion {
+            handle: uid.0,
+            seq: 0, // link-assigned
+            region: region.rect,
+        });
+    }
+
+    /// After a registration: pushes every held-back user whose profile
+    /// the whole population can now satisfy (Algorithm 1 can always climb
+    /// to the root, which holds everyone in the unit square), and forgets
+    /// the ones that signed off.
+    fn release_held(&self) {
+        let population = self.anonymizer.user_count() as u32;
+        let mut ready = Vec::new();
+        {
+            let mut held = lock(&self.held);
+            if held.is_empty() {
+                return;
+            }
+            held.retain(|&uid| match self.anonymizer.profile_of(uid) {
+                Some(p) if p.satisfied_by(population, 1.0) => {
+                    ready.push(uid);
+                    false
+                }
+                Some(_) => true,
+                None => false,
             });
+        }
+        for uid in ready {
+            self.push_region(uid);
         }
     }
 
@@ -282,6 +328,7 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
             Request::Register { uid, profile, pos } => {
                 let s = self.anonymizer.register(uid, profile, pos);
                 self.push_region(uid);
+                self.release_held();
                 Response::Maintained(s)
             }
             Request::UpdateLocation { uid, pos } => {
@@ -296,6 +343,7 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
             }
             Request::SignOff { uid } => {
                 self.anonymizer.deregister(uid);
+                lock(&self.held).remove(&uid);
                 let _ = self.link.call(Request::RemoveRegion { handle: uid.0 });
                 Response::Done
             }
@@ -327,8 +375,7 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
         private_data: bool,
     ) -> Option<QueryOutcome> {
         // One trace id per query: join the caller's trace when a span is
-        // current (an engine worker that adopted its dispatcher's
-        // `request` root), otherwise mint one and root the trace here.
+        // current, otherwise mint one and root the trace here.
         // The answer, the stage records and the audit record carry it.
         let (trace_id, mut span) = match crate::tel::span_current() {
             Some(ctx) => (ctx.trace_id, crate::tel::span("query")),
@@ -343,9 +390,12 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
         let cloaked = self.anonymizer.cloak(uid);
         drop(cloak_span);
         let anonymizer_time = t0.elapsed();
-        // The region below is released to the server tier: audit it.
-        self.audit_cloak_decision(trace_id, uid, cloaked.as_ref(), true, "");
-        let region = cloaked?.rect;
+        let cloaked = cloaked?;
+        if !self.release(Some(trace_id), uid, &cloaked) {
+            span.set_outcome("fail_private");
+            return None;
+        }
+        let region = cloaked.rect;
         crate::tel::record_stage("anonymizer", anonymizer_time);
         let filters = Some(filters);
         let req = if private_data {
@@ -422,66 +472,50 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
         }))
     }
 
-    /// Emits one audit record for a cloak decision into the process-wide
-    /// audit log. `served = true` means the region was (or is about to be)
-    /// released to the untrusted tier — the records the post-hoc
-    /// [`casper_telemetry::PrivacyAuditor`] checks against each user's own
-    /// `(k, A_min)` profile. Shed decisions (`served = false`) document
-    /// fail-private refusals; a missing region is recorded at level 255.
-    pub(crate) fn audit_cloak_decision(
-        &self,
-        trace_id: u64,
-        uid: UserId,
-        region: Option<&CloakedRegion>,
-        served: bool,
-        shed_reason: &'static str,
-    ) {
+    /// The fail-private guard in front of the server tier: whether
+    /// `region` may be released, i.e. satisfies its user's `(k, A_min)`.
+    /// A cloak that misses the profile is refused: audited `served:
+    /// false` with reason `fail_private`, counted, and its trace flagged
+    /// so it is kept. Privacy fails closed; availability is what gives.
+    /// A query passes its trace id, and a region it releases is audited
+    /// `served: true`: those are the records the post-hoc
+    /// [`casper_telemetry::PrivacyAuditor`] checks. A region push passes
+    /// `None` and is audited only when refused, under the current trace.
+    fn release(&self, query_trace: Option<u64>, uid: UserId, region: &CloakedRegion) -> bool {
+        // No profile: the user signed off since the cloak was taken.
         let Some(profile) = self.anonymizer.profile_of(uid) else {
-            return;
+            return false;
         };
-        let (k_achieved, area, level) = match region {
-            Some(r) => (r.user_count, r.rect.area(), r.level),
-            None => (0, 0.0, 255),
+        let served = profile.satisfied_by(region.user_count, region.area());
+        if served && query_trace.is_none() {
+            return true;
+        }
+        let trace_id = query_trace
+            .or_else(|| crate::tel::span_current().map(|ctx| ctx.trace_id))
+            .unwrap_or(0);
+        let reason = if served {
+            ""
+        } else {
+            ShedReason::FailPrivate.label()
         };
         crate::tel::record_cloak_audit(
             trace_id,
             uid.0,
             profile.k,
-            k_achieved,
+            region.user_count,
             profile.a_min,
-            area,
-            level,
+            region.area(),
+            region.level,
             served,
-            shed_reason,
+            reason,
         );
-    }
-}
-
-impl<A: AnonymizerService> Pipeline<A, ServerPlane> {
-    /// The core over a fresh in-process plane.
-    pub(crate) fn local(anonymizer: A) -> Self {
-        Self::new(
-            anonymizer,
-            ServerPlane::new(CasperServer::new(), FilterCount::Four, 1),
-        )
-    }
-
-    /// Batch form of [`push_region`](Self::push_region): one grouped
-    /// cloak pass through the anonymizer's batch path and one plane
-    /// write for the whole set. Each user's region reflects their state
-    /// at flush time, so flushing once after a run of mutations leaves
-    /// the plane exactly where per-op pushes would have (regions are
-    /// keyed by uid; the last write wins).
-    pub(crate) fn flush_regions(&self, uids: &[UserId]) {
-        if uids.is_empty() {
-            return;
+        if !served {
+            crate::tel::record_shed(reason);
+            if trace_id != 0 {
+                crate::tel::span_flag(trace_id);
+            }
         }
-        let regions = self.anonymizer.cloak_many(uids);
-        self.link.upsert_regions(
-            uids.iter()
-                .zip(regions)
-                .filter_map(|(&uid, region)| region.map(|r| (uid.0, r.rect))),
-        );
+        served
     }
 }
 
@@ -501,7 +535,10 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
     /// apply.
     pub fn new(pyramid: P) -> Self {
         Self {
-            core: Pipeline::local(RwLock::new(pyramid)),
+            core: Pipeline::new(
+                RwLock::new(pyramid),
+                ServerPlane::new(CasperServer::new(), FilterCount::Four, 1),
+            ),
         }
     }
 
@@ -549,7 +586,9 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
 
     /// A private NN query over public data, end to end: cloak the
     /// querying user, run Algorithm 2, model the candidate-list
-    /// transmission, refine locally at the client.
+    /// transmission, refine locally at the client. `None` for unknown
+    /// users, and for a user whose cloak misses their own profile: that
+    /// region is never released (fail private).
     pub fn query_nn(&mut self, uid: UserId) -> Option<EndToEndAnswer> {
         self.query_nn_with(uid, self.core.filters)
     }
@@ -737,9 +776,10 @@ impl<P: PyramidStructure + Send + Sync> RemoteCasper<P> {
     }
 
     /// A private NN query over public data through the real network
-    /// boundary. Returns `None` for unknown users; a reachable server
-    /// yields [`QueryOutcome::Answered`], an unreachable one
-    /// [`QueryOutcome::Degraded`].
+    /// boundary. Returns `None` for unknown users and for a cloak that
+    /// misses its user's profile (nothing is sent: fail private); a
+    /// reachable server yields [`QueryOutcome::Answered`], an unreachable
+    /// one [`QueryOutcome::Degraded`].
     pub fn query_nn(&mut self, uid: UserId) -> Option<QueryOutcome> {
         self.core.query(uid, self.core.filters, None, false)
     }
@@ -778,7 +818,6 @@ impl<P: PyramidStructure + Send + Sync> Engine for RemoteCasper<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParallelEngine;
     use casper_grid::{AdaptivePyramid, CompletePyramid};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -821,6 +860,48 @@ mod tests {
             );
             let _ = rng.gen::<f64>();
         }
+    }
+
+    /// The sharded trusted tier behind the same pipeline: refined answers
+    /// are exact, and the plane's regions follow registration and
+    /// sign-off.
+    #[test]
+    fn sharded_tier_answers_exactly_and_keeps_regions_in_step() {
+        let mut c = Casper::new(crate::ShardedAnonymizer::new(8, 2));
+        let mut rng = StdRng::seed_from_u64(3);
+        let targets: Vec<Point> = (0..400).map(|_| Point::new(rng.gen(), rng.gen())).collect();
+        c.load_targets(
+            targets
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (ObjectId(i as u64), p)),
+        );
+        for i in 0..200 {
+            let profile = Profile::new(rng.gen_range(1..8), 0.0);
+            c.register_user(uid(i), profile, Point::new(rng.gen(), rng.gen()));
+        }
+        for i in 0..30 {
+            let exact = c
+                .query_nn(uid(i))
+                .unwrap()
+                .exact
+                .expect("targets are loaded");
+            let pos = c.anonymizer().position_of(uid(i)).unwrap();
+            let best = targets
+                .iter()
+                .map(|t| t.dist(pos))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                (exact.mbr.min.dist(pos) - best).abs() < 1e-9,
+                "user {i}: refinement diverged from brute force"
+            );
+        }
+        assert_eq!(c.server().private_count(), 200);
+        c.sign_off(uid(0));
+        assert_eq!(c.server().private_count(), 199);
+        assert_eq!(c.anonymizer().user_count(), 199);
+        // An admin count sees regions, never exact points.
+        assert_eq!(c.admin_count(&Rect::unit()).max_count(), 199);
     }
 
     #[test]
@@ -922,6 +1003,31 @@ mod tests {
         let b = c.query_nn_private(uid(1)).unwrap();
         assert_ne!(a.trace_id, 0, "trace ids start at 1");
         assert_ne!(a.trace_id, b.trace_id, "each request gets its own id");
+    }
+
+    /// A user whose `k` exceeds the population is held back, and pushed
+    /// by the registration that makes the population large enough.
+    #[test]
+    fn a_held_region_is_pushed_once_the_population_can_hide_it() {
+        let mut c = Casper::new(CompletePyramid::new(7));
+        c.register_user(uid(1), Profile::new(3, 0.0), Point::new(0.2, 0.2));
+        c.register_user(uid(2), Profile::new(1, 0.0), Point::new(0.8, 0.8));
+        assert_eq!(c.server().private_count(), 1, "user 1 was released early");
+        c.register_user(uid(3), Profile::new(1, 0.0), Point::new(0.6, 0.1));
+        let stored: Vec<Rect> = c
+            .server()
+            .private_entries()
+            .into_iter()
+            .filter(|e| e.id == ObjectId(1))
+            .map(|e| e.mbr)
+            .collect();
+        let cloak = c.anonymizer().cloak(uid(1)).unwrap();
+        assert!(cloak.user_count >= 3);
+        assert_eq!(stored, vec![cloak.rect]);
+        // Signing off a held user forgets them.
+        c.register_user(uid(4), Profile::new(9, 0.0), Point::new(0.4, 0.4));
+        c.sign_off(uid(4));
+        assert!(lock(&c.core.held).is_empty());
     }
 
     #[test]
@@ -1033,10 +1139,9 @@ mod tests {
     }
 
     /// One seeded script — register, move, profile change, sign-off —
-    /// through every façade of the one pipeline: `Casper`,
-    /// `ParallelEngine` at 1 and 4 threads, and `RemoteCasper` against a
-    /// live server, all via [`Engine::execute`]. Every façade must give
-    /// the same answers and leave the same server state.
+    /// through both façades of the one pipeline: `Casper`, and
+    /// `RemoteCasper` against a live server, both via [`Engine::execute`].
+    /// Both must give the same answers.
     #[test]
     fn remote_pipeline_matches_local_answers() {
         const USERS: u64 = 40;
@@ -1064,22 +1169,13 @@ mod tests {
 
         let mut local = Casper::new(AdaptivePyramid::new(8));
         local.load_targets(targets.iter().copied());
-        let parallel = |threads| {
-            let engine = ParallelEngine::new(RwLock::new(AdaptivePyramid::new(8)), threads);
-            engine.load_targets(targets.iter().copied());
-            engine
-        };
-        let (mut pe1, mut pe4) = (parallel(1), parallel(4));
         let mut backend = CasperServer::new();
         backend.load_public_targets(targets.iter().copied());
         let server = NetworkServer::spawn(backend, FilterCount::Four).unwrap();
         let mut remote = RemoteCasper::new(AdaptivePyramid::new(8), server.addr());
 
-        let mut in_process: [&mut dyn Engine; 3] = [&mut local, &mut pe1, &mut pe4];
         for req in &script {
-            for engine in in_process.iter_mut() {
-                engine.execute(req.clone());
-            }
+            local.execute(req.clone());
             remote.execute(req.clone());
         }
         assert_eq!(remote.pending_updates(), 0, "server is up: nothing queued");
@@ -1097,27 +1193,20 @@ mod tests {
             };
             let buddy = Request::QueryNnPrivate { uid: uid(i) };
             let want_nn = answer(remote.execute(nn.clone()));
-            let want_buddy = answer(in_process[0].execute(buddy.clone()));
-            for engine in in_process.iter_mut() {
-                assert_eq!(answer(engine.execute(nn.clone())), want_nn, "user {i}");
-                assert_eq!(
-                    answer(engine.execute(buddy.clone())),
-                    want_buddy,
-                    "user {i}"
-                );
-            }
+            assert_eq!(answer(local.execute(nn)), want_nn, "user {i}");
+            assert!(
+                matches!(
+                    local.execute(buddy),
+                    Response::Outcome(Some(QueryOutcome::Answered(_)))
+                ),
+                "user {i}: buddy query"
+            );
         }
 
-        let district = Rect::from_coords(0.2, 0.2, 0.6, 0.6);
-        let state = |s: &CasperServer| {
-            let admin = s.range_private(&district);
-            let (lo, hi) = (admin.min_count(), admin.max_count());
-            (s.private_count(), lo, hi, admin.expected_count.to_bits())
-        };
-        let want = state(&local.server());
-        assert_eq!(want.0, (USERS as usize) - signed_off.len());
-        assert_eq!(pe1.with_server(state), want);
-        assert_eq!(pe4.with_server(state), want);
+        assert_eq!(
+            local.server().private_count(),
+            (USERS as usize) - signed_off.len()
+        );
         // The wire has no removal message: the remote server keeps the
         // signed-off users' last regions.
         assert_eq!(server.with_server(|s| s.private_count()), USERS as usize);

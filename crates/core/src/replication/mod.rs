@@ -535,10 +535,6 @@ where
         self.durable.shard_hint(pos)
     }
 
-    fn home_hints(&self, uids: &[UserId]) -> Vec<usize> {
-        self.durable.home_hints(uids)
-    }
-
     fn cloak_many(&self, uids: &[UserId]) -> Vec<Option<CloakedRegion>> {
         self.durable.cloak_many(uids)
     }

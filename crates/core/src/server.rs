@@ -428,6 +428,30 @@ mod tests {
         s
     }
 
+    /// Any peer can send a region spanning ±1e300. Its upsert must
+    /// invalidate every cached count the region covers, so the cached
+    /// answer stays the uncached one.
+    #[test]
+    fn a_region_near_the_f64_range_leaves_no_stale_cached_count() {
+        let mut cached = CasperServer::new();
+        let mut uncached = CasperServer::new();
+        uncached.set_query_cache_enabled(false);
+        let area = Rect::from_coords(0.3, 0.3, 0.4, 0.4);
+        let shape = |a: RangeAnswer| (a.min_count(), a.max_count(), a.overlapping.len());
+        for s in [&mut cached, &mut uncached] {
+            s.upsert_private_region(PrivateHandle(1), Rect::from_coords(0.1, 0.1, 0.2, 0.2));
+            assert_eq!(shape(s.range_private(&area)), (0, 0, 0));
+            assert_eq!(shape(s.range_private(&area)), (0, 0, 0));
+            s.upsert_private_region(
+                PrivateHandle(2),
+                Rect::from_coords(-1e300, -1e300, 1e300, 1e300),
+            );
+        }
+        let want = shape(uncached.range_private(&area));
+        assert_eq!(want.1, 1);
+        assert_eq!(shape(cached.range_private(&area)), want);
+    }
+
     #[test]
     fn public_store_crud() {
         let mut s = CasperServer::new();

@@ -12,8 +12,8 @@
 //! behind its own `RwLock`, the coordinator tier is a row of atomic
 //! population counters (read lock-free by escalated cloaks), and all
 //! public methods take `&self` — updates and cloaks for *different*
-//! shards execute in parallel, which is what the
-//! [`crate::engine::ParallelEngine`] worker pool exploits.
+//! shards execute in parallel: threads that drive it directly (as the
+//! benchmark's drivers do) contend only when they touch one shard.
 //!
 //! Cloaking stays local for the overwhelming majority of users (their
 //! `k` is met inside the shard) and escalates to the coordinator's
@@ -262,8 +262,8 @@ impl ShardedAnonymizer {
         self.populations[idx].load(Ordering::Acquire) as usize
     }
 
-    /// The shard index a position falls into — the partition key the
-    /// engine's worker pool uses to give batches shard affinity.
+    /// The shard index a position falls into — the partition key a
+    /// checkpoint groups its per-shard segments by.
     pub fn shard_of(&self, pos: Point) -> usize {
         let pos = Point::new(pos.x.clamp(0.0, 1.0), pos.y.clamp(0.0, 1.0));
         self.shard_index(self.shard_cell(pos)) as usize
@@ -537,15 +537,6 @@ impl ShardedAnonymizer {
         // tier, anchored at her latest home cell.
         let (home, global_profile) = lookup;
         Some(self.escalate(self.cell_of_shard(home), global_profile))
-    }
-
-    /// The home shard of each listed user (partition 0 for unknown
-    /// users) — the affinity key the engine's cloak batches use. One
-    /// striped home read per user; no shard locks.
-    pub fn home_hints(&self, uids: &[UserId]) -> Vec<usize> {
-        uids.iter()
-            .map(|&uid| self.homes.get(uid).map_or(0, |(home, _)| home as usize))
-            .collect()
     }
 
     /// Cloaks a batch of registered users, output in input order

@@ -69,28 +69,9 @@ pub(crate) fn span_current() -> Option<casper_telemetry::SpanContext> {
     casper_telemetry::spans().current()
 }
 
-/// Adopts a captured context on the calling thread (worker pools; only
-/// the overload admission queue hops threads today).
-pub(crate) fn span_adopt(ctx: casper_telemetry::SpanContext) -> casper_telemetry::ContextGuard {
-    casper_telemetry::spans().adopt(ctx)
-}
-
 /// Promotes a trace for tail-keep (shed / degraded / retried requests).
 pub(crate) fn span_flag(trace_id: u64) {
     casper_telemetry::spans().flag(trace_id);
-}
-
-/// Records a span with explicit endpoints under `ctx` (intervals measured
-/// before the recording thread had any context, e.g. admission sojourn).
-pub(crate) fn span_manual(
-    ctx: casper_telemetry::SpanContext,
-    name: &'static str,
-    start_ns: u64,
-    end_ns: u64,
-    outcome: &'static str,
-    detail: String,
-) {
-    casper_telemetry::spans().record_manual(ctx, name, start_ns, end_ns, outcome, detail);
 }
 
 /// Files a state transition as a kept span named `name` with `outcome`
@@ -336,41 +317,20 @@ pub(crate) fn net_server() -> &'static NetServerTel {
 }
 
 // ---------------------------------------------------------------------
-// Overload control (admission gates, breakers).
+// Overload control (fail-private refusals, breakers).
 
-/// Counts one shed request by reason
+/// Counts one refused request by reason
 /// (`casper_overload_shed_total{reason=...}`).
 pub(crate) fn record_shed(reason: &'static str) {
     static REASONS: LabelCache<Counter> = OnceLock::new();
     labelled(&REASONS, reason, || {
         registry().counter_with(
             "casper_overload_shed_total",
-            "Requests shed by the overload subsystem, by reason",
+            "Requests refused instead of served, by reason",
             &[("reason", reason)],
         )
     })
     .inc();
-}
-
-/// Counts one request admitted past the overload gates.
-pub(crate) fn record_admitted() {
-    cached_counter!(
-        "casper_overload_admitted_total",
-        "Requests admitted past the overload gates and executed"
-    )
-    .inc();
-}
-
-/// Records one observed admission-queue sojourn time.
-pub(crate) fn record_sojourn(d: Duration) {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            "casper_overload_sojourn_ns",
-            "Admission-queue sojourn time of executed requests, nanoseconds",
-        )
-    })
-    .observe_duration(d);
 }
 
 /// Counts a circuit-breaker event (`casper_breaker_events_total{event=...}`:

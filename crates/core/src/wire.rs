@@ -132,8 +132,8 @@ pub enum Message {
     /// The server's metrics page in the Prometheus text exposition format,
     /// answering a [`Message::MetricsRequest`].
     MetricsText(String),
-    /// The server shed the request instead of executing it (admission
-    /// queue full, CoDel sojourn shed, or deadline already expired). The client
+    /// The server shed the request instead of executing it (deadline
+    /// already expired, or a standby that does not serve yet). The client
     /// should back off for at least the carried hint before retrying —
     /// and must treat this as a *complete* answer, never as license to
     /// weaken the cloak and try again.

@@ -4,12 +4,18 @@
 //! zero client-visible errors, candidate lists identical to a fault-free
 //! run, and a final server private-region state equal to the fault-free
 //! run.
+//!
+//! The client's overload surface against a dead or black-holed peer is
+//! tested here too: an expired deadline fails fast before the socket, the
+//! circuit breaker fast-fails after repeated timeouts, and a retry gives
+//! up when the remaining budget cannot cover another attempt.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use casper_core::faults::{ChaosProxy, FaultConfig};
 use casper_core::net::{ClientConfig, NetworkClient, NetworkServer};
-use casper_core::{CasperServer, PrivateHandle, RetryPolicy};
+use casper_core::overload::BreakerConfig;
+use casper_core::{CasperServer, NetError, PrivateHandle, RetryPolicy};
 use casper_geometry::{Point, Rect};
 use casper_index::ObjectId;
 use casper_qp::FilterCount;
@@ -331,4 +337,154 @@ fn chaos_pipelined_windows_zero_visible_errors() {
         proxy.shutdown();
         server.shutdown();
     }
+}
+
+/// Budget check at the first hop: a deadline that has already expired
+/// fails fast on the client — no connect, no frame, no server work.
+/// Clearing the deadline restores normal service.
+#[test]
+fn expired_deadline_fails_fast_before_touching_the_wire() {
+    let backend = casper_core::CasperServer::new();
+    let server = NetworkServer::spawn(backend, casper_qp::FilterCount::Four).unwrap();
+    // Lazy connect: the socket is only opened by the first real attempt.
+    let mut client = NetworkClient::with_config(
+        server.addr(),
+        ClientConfig {
+            retry: RetryPolicy::no_retry(),
+            ..ClientConfig::default()
+        },
+    );
+    let region = Rect::from_coords(0.1, 0.1, 0.2, 0.2);
+
+    client.set_deadline(Some(Instant::now() - Duration::from_millis(5)));
+    let err = client
+        .push_update(casper_core::PrivateHandle(1), region)
+        .unwrap_err();
+    let NetError::GaveUp { remaining_budget } = err else {
+        panic!("expired budget must surface as GaveUp, got {err:?}");
+    };
+    assert_eq!(remaining_budget, Duration::ZERO);
+    assert_eq!(client.stats().gave_up, 1);
+    assert!(
+        !client.is_connected(),
+        "dead work must not even open the socket"
+    );
+    assert_eq!(
+        server.with_server(|s| s.private_count()),
+        0,
+        "shed work must not touch the plane"
+    );
+
+    // Clearing the deadline restores service.
+    client.set_deadline(None);
+    client
+        .push_update(casper_core::PrivateHandle(1), region)
+        .unwrap();
+    assert_eq!(server.with_server(|s| s.private_count()), 1);
+    server.shutdown();
+}
+
+/// Repeated timeouts trip the client breaker open; the next operation
+/// fast-fails in microseconds instead of burning another full timeout.
+#[test]
+fn breaker_fast_fails_after_repeated_timeouts() {
+    let backend = casper_core::CasperServer::new();
+    let server = NetworkServer::spawn(backend, casper_qp::FilterCount::Four).unwrap();
+    // A black-hole proxy: every frame is swallowed, so every operation
+    // times out at the read timeout.
+    let black_hole = FaultConfig {
+        seed: 3,
+        drop_frame: 1.0,
+        ..FaultConfig::default()
+    };
+    let proxy = ChaosProxy::spawn(server.addr(), black_hole).unwrap();
+    let read_timeout = Duration::from_millis(80);
+    let mut client = NetworkClient::with_config(
+        proxy.addr(),
+        ClientConfig {
+            read_timeout,
+            write_timeout: read_timeout,
+            retry: RetryPolicy::no_retry(),
+            breaker: Some(BreakerConfig {
+                failure_threshold: 2,
+                cooldown: Duration::from_secs(5),
+            }),
+            ..ClientConfig::default()
+        },
+    );
+    let region = Rect::from_coords(0.2, 0.2, 0.3, 0.3);
+    for handle in 0..2 {
+        let err = client
+            .push_update(casper_core::PrivateHandle(handle), region)
+            .unwrap_err();
+        assert!(
+            matches!(err, NetError::Io(_)),
+            "black-holed op should time out, got {err:?}"
+        );
+    }
+    // Third operation: the breaker is open — fast-fail, no socket work.
+    let t = Instant::now();
+    let err = client
+        .push_update(casper_core::PrivateHandle(9), region)
+        .unwrap_err();
+    let elapsed = t.elapsed();
+    assert!(
+        matches!(err, NetError::Overloaded { .. }),
+        "open breaker must fast-fail Overloaded, got {err:?}"
+    );
+    assert!(
+        elapsed < read_timeout / 2,
+        "fast-fail took {elapsed:?}, breaker is not short-circuiting"
+    );
+    assert_eq!(client.stats().breaker_fast_fails, 1);
+    proxy.shutdown();
+    server.shutdown();
+}
+
+/// Deadline-aware retry: when the remaining budget cannot cover the
+/// backoff sleep plus another attempt, the client surfaces `GaveUp` with
+/// the unusable remainder instead of sleeping into a dead deadline.
+#[test]
+fn retry_gives_up_when_budget_cannot_cover_another_attempt() {
+    // A port with no listener: connects fail instantly.
+    let dead = {
+        let l = std::net::TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        l.local_addr().unwrap()
+    };
+    let mut client = NetworkClient::with_config(
+        dead,
+        ClientConfig {
+            connect_timeout: Duration::from_millis(20),
+            read_timeout: Duration::from_millis(20),
+            write_timeout: Duration::from_millis(20),
+            retry: RetryPolicy {
+                max_retries: 4,
+                base_delay: Duration::from_millis(30),
+                multiplier: 2.0,
+                max_delay: Duration::from_millis(200),
+                jitter: 0.0,
+            },
+            request_budget: Some(Duration::from_millis(80)),
+            ..ClientConfig::default()
+        },
+    );
+    let t = Instant::now();
+    let err = client
+        .push_update(
+            casper_core::PrivateHandle(1),
+            Rect::from_coords(0.1, 0.1, 0.2, 0.2),
+        )
+        .unwrap_err();
+    // First attempt fails fast (connection refused); the first retry
+    // would sleep 30 ms and risk 60 ms of timeouts against an 80 ms
+    // budget — the client must give up instead.
+    let NetError::GaveUp { remaining_budget } = err else {
+        panic!("expected GaveUp, got {err:?}");
+    };
+    assert!(remaining_budget <= Duration::from_millis(80));
+    assert_eq!(client.stats().gave_up, 1);
+    assert!(
+        t.elapsed() < Duration::from_millis(80),
+        "giving up must not burn the full budget sleeping"
+    );
 }

@@ -105,7 +105,10 @@ impl CellVersionTable {
     fn cover_axis(&self, a: f64, b: f64) -> (u32, u32) {
         let n = self.extent as f64;
         let last = (self.extent - 1) as i64;
-        let lo = ((a * n).ceil() as i64 - 1).clamp(0, last) as u32;
+        // `as` saturates a huge coordinate to `i64::MIN`/`MAX`; the
+        // subtraction must saturate too, or a region near -1e300 wraps to
+        // the far corner and stamps elsewhere miss the bump.
+        let lo = ((a * n).ceil() as i64).saturating_sub(1).clamp(0, last) as u32;
         let hi = ((b * n).floor() as i64).clamp(0, last) as u32;
         (lo, hi.max(lo))
     }
@@ -301,6 +304,26 @@ mod tests {
         t.bump_rect(&r(-0.5, -0.5, -0.1, -0.1));
         // Clamped to the corner cell: spurious invalidation, which is safe.
         assert!(!t.validate(&s));
+    }
+
+    #[test]
+    fn coordinates_near_the_f64_range_saturate_instead_of_overflowing() {
+        let t = CellVersionTable::new();
+        let middle = t.stamp(&r(0.4, 0.4, 0.45, 0.45));
+        let hostile = r(-1e300, -1e300, 1e300, 1e300);
+        let wide = t.stamp(&hostile);
+        t.bump_rect(&hostile);
+        assert!(
+            !t.validate(&middle),
+            "a bump over the whole space missed a stamp"
+        );
+        assert!(!t.validate(&wide));
+        // Both ends far out on one side: clamped to the edge cells.
+        let corner = t.stamp(&r(0.0, 0.0, 0.01, 0.01));
+        let far = t.stamp(&r(0.9, 0.9, 0.95, 0.95));
+        t.bump_rect(&r(-1e300, -1e300, -1e299, -1e299));
+        assert!(!t.validate(&corner));
+        assert!(t.validate(&far));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! A *trace id* is minted once per end-to-end request ([`next_trace_id`])
 //! and carried through cloak → query → transmission. A *span* covers one
-//! stage of that request (a client retry attempt, the admission sojourn,
+//! stage of that request (a client retry attempt, a server frame,
 //! a shard lock wait, the WAL group-commit fsync, ...) and records its
 //! parent, so the spans of one trace assemble into a tree that attributes
 //! the request's latency stage by stage. State transitions (a shard

@@ -1,13 +1,14 @@
-//! The whole system in one run: a simulated city day on the concurrent
+//! The whole system in one run: a simulated city day on the typed
 //! request plane.
 //!
 //! ```text
 //! cargo run --release --example full_city_simulation
 //! ```
 //!
-//! * 8 000 residents move along a synthetic road network; every tick's
-//!   updates go through [`ParallelEngine::update_batch`], which fans them
-//!   out over the worker pool by shard;
+//! * 8 000 residents move along a synthetic road network; every move is
+//!   a typed [`Request::UpdateLocation`] into a [`Casper`] over a sharded
+//!   anonymizer, which re-cloaks the mover and refreshes their region at
+//!   the server;
 //! * the server holds categorised public data (gas stations, hospitals,
 //!   restaurants) and the residents' cloaked regions;
 //! * residents fire category-scoped nearest-neighbour queries as typed
@@ -22,7 +23,6 @@ use std::time::Instant;
 
 const RESIDENTS: usize = 8_000;
 const TICKS: usize = 20;
-const WORKERS: usize = 4;
 
 fn main() {
     let started = Instant::now();
@@ -31,9 +31,8 @@ fn main() {
     let mut generator = MovingObjectGenerator::new(network, RESIDENTS, &mut rng);
 
     // One engine: a sharded anonymizer (a 9-level pyramid split at level
-    // 2 → 16 shards) behind the typed request plane, driven by a worker
-    // pool.
-    let engine = ParallelEngine::sharded(9, 2, WORKERS);
+    // 2 → 16 shards) behind the typed request plane.
+    let mut engine = Casper::new(ShardedAnonymizer::new(9, 2));
 
     // Categorised public data — registered directly at the server;
     // public data bypasses the anonymizer (Figure 1).
@@ -45,25 +44,26 @@ fn main() {
     let mut next_id = 0u64;
     for &(cat, _, n) in &categories {
         for p in uniform_targets(n, &mut rng) {
-            engine.with_server_mut(|s| s.upsert_public_target_in(ObjectId(next_id), p, cat));
+            engine
+                .server_mut()
+                .upsert_public_target_in(ObjectId(next_id), p, cat);
             next_id += 1;
         }
     }
 
-    // Residents register with heterogeneous privacy preferences — one
-    // batch, partitioned across the pool by shard.
-    let residents: Vec<(UserId, Profile, Point)> = (0..RESIDENTS)
-        .map(|i| {
-            let profile = match i % 10 {
-                0..=5 => Profile::new(rng.gen_range(2..=20), 0.0), // casual
-                6..=8 => Profile::new(rng.gen_range(20..=80), 5e-5), // cautious
-                _ => Profile::new(rng.gen_range(80..=200), 5e-4),  // paranoid
-            };
-            (UserId(i as u64), profile, generator.object(i).position())
-        })
-        .collect();
-    let registered = engine.register_batch(residents);
-    assert_eq!(registered, RESIDENTS);
+    // Residents register with heterogeneous privacy preferences. A
+    // paranoid resident who registers before enough others have cannot
+    // be cloaked to their `k` yet: that region is held back, fail
+    // private, until the registration that makes the city big enough.
+    for i in 0..RESIDENTS {
+        let profile = match i % 10 {
+            0..=5 => Profile::new(rng.gen_range(2..=20), 0.0), // casual
+            6..=8 => Profile::new(rng.gen_range(20..=80), 5e-5), // cautious
+            _ => Profile::new(rng.gen_range(80..=200), 5e-4),  // paranoid
+        };
+        engine.register_user(UserId(i as u64), profile, generator.object(i).position());
+    }
+    assert_eq!(engine.server().private_count(), RESIDENTS);
 
     let mut policy = FilterPolicy::new(TransmissionModel::default());
     let district = Rect::from_coords(0.3, 0.3, 0.6, 0.6);
@@ -71,21 +71,20 @@ fn main() {
     let mut wrong = 0usize;
 
     for tick in 0..TICKS {
-        // Everyone drives; one batch per tick re-cloaks all movers in
-        // parallel, shard by shard.
-        let moves: Vec<(UserId, Point)> = generator
-            .tick(1.0, &mut rng)
-            .into_iter()
-            .map(|(i, pos)| (UserId(i as u64), pos))
-            .collect();
-        engine.update_batch(moves);
+        // Everyone drives; each move re-cloaks the mover.
+        for (i, pos) in generator.tick(1.0, &mut rng) {
+            engine.execute(Request::UpdateLocation {
+                uid: UserId(i as u64),
+                pos,
+            });
+        }
 
         // A wave of private category queries through the tuned policy.
         for _ in 0..50 {
             let uid = UserId(rng.gen_range(0..RESIDENTS as u64));
             let cat = categories[rng.gen_range(0..categories.len())].0;
             let fc = policy.choose();
-            let Response::Outcome(Some(outcome)) = engine.submit(Request::QueryNn {
+            let Response::Outcome(Some(outcome)) = engine.execute(Request::QueryNn {
                 uid,
                 filters: Some(fc),
                 category: Some(cat),
@@ -105,11 +104,11 @@ fn main() {
         // Traffic office: anonymous district analytics, straight to the
         // server tier of the same request plane.
         if tick % 5 == 4 {
-            let Response::Count(count) = engine.submit(Request::AdminCount { area: district })
+            let Response::Count(count) = engine.execute(Request::AdminCount { area: district })
             else {
                 unreachable!("the plane always counts");
             };
-            let density = engine.with_server(|s| s.density(8));
+            let density = engine.server().density(8);
             println!(
                 "tick {tick:>2}: district expects {:7.1} cars in [{}..{}]; hottest 1/64 cell ≈ {:.0}",
                 count.expected_count,
@@ -123,7 +122,7 @@ fn main() {
     println!("\nprivate category queries : {queries} ({wrong} wrong — must be 0)");
     assert_eq!(wrong, 0, "every refined answer must be exact");
     println!(
-        "simulated {TICKS} ticks with {RESIDENTS} residents on {WORKERS} workers in {:?}",
+        "simulated {TICKS} ticks with {RESIDENTS} residents in {:?}",
         started.elapsed()
     );
 }
@@ -131,7 +130,7 @@ fn main() {
 /// Oracle check: the refined answer must be the category's true nearest
 /// target to the user's exact position.
 fn verify_exact(
-    engine: &ParallelEngine<ShardedAnonymizer>,
+    engine: &Casper<ShardedAnonymizer>,
     uid: UserId,
     cat: Category,
     answer: &EndToEndAnswer,
@@ -142,15 +141,16 @@ fn verify_exact(
     let Some(pos) = engine.anonymizer().position_of(uid) else {
         return false;
     };
-    engine.with_server(|s| {
-        let all = s.nn_public_in(&Rect::unit(), FilterCount::One, cat).0;
-        let Some(best) = all
-            .candidates
-            .iter()
-            .min_by(|a, b| a.mbr.min.dist(pos).total_cmp(&b.mbr.min.dist(pos)))
-        else {
-            return false;
-        };
-        (best.mbr.min.dist(pos) - refined.mbr.min.dist(pos)).abs() < 1e-9
-    })
+    let all = engine
+        .server()
+        .nn_public_in(&Rect::unit(), FilterCount::One, cat)
+        .0;
+    let Some(best) = all
+        .candidates
+        .iter()
+        .min_by(|a, b| a.mbr.min.dist(pos).total_cmp(&b.mbr.min.dist(pos)))
+    else {
+        return false;
+    };
+    (best.mbr.min.dist(pos) - refined.mbr.min.dist(pos)).abs() < 1e-9
 }

@@ -57,15 +57,15 @@ pub use casper_telemetry as telemetry;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use casper_core::{
-        recover_sharded_engine, DirStorage, DurabilityConfig, DurabilityError, DurableAnonymizer,
-        MemStorage, RecoveryReport,
-    };
-    pub use casper_core::{
         AnonymizerService, Casper, CasperClient, CasperServer, Category, ContinuousNn,
-        ContinuousSet, EndToEndAnswer, EndToEndBreakdown, Engine, FilterPolicy, ParallelEngine,
-        PrivateHandle, Request, Response, ShardedAnonymizer, TransmissionModel,
+        ContinuousSet, EndToEndAnswer, EndToEndBreakdown, Engine, FilterPolicy, PrivateHandle,
+        Request, Response, ShardedAnonymizer, TransmissionModel,
     };
     pub use casper_core::{CacheConfig, CacheStats};
+    pub use casper_core::{
+        DirStorage, DurabilityConfig, DurabilityError, DurableAnonymizer, MemStorage,
+        RecoveryReport,
+    };
     pub use casper_geometry::{Point, Rect};
     pub use casper_grid::{
         AdaptivePyramid, CellId, CloakedRegion, CompletePyramid, Profile, PyramidStructure, UserId,

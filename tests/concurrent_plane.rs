@@ -1,8 +1,9 @@
 //! Integration test: the concurrent request plane under real thread
 //! contention.
 //!
-//! Eight owner threads hammer one shared
-//! [`ParallelEngine`]`<`[`ShardedAnonymizer`]`>` with interleaved
+//! Eight owner threads hammer one shared [`ShardedAnonymizer`] and one
+//! shared [`ServerPlane`] — the serving path the TCP server's reactors
+//! and the benchmark's drivers take, minus the socket — with interleaved
 //! register / update / cloak / query commands while a chaos thread
 //! quarantines and restores a shard mid-run. Every cloaked region that
 //! comes back is re-checked for the paper's guarantees:
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use casper::core::ShardedAnonymizer;
+use casper::core::engine::ServerPlane;
 use casper::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -49,23 +50,87 @@ fn grid_aligned(rect: &Rect, level: u8) -> bool {
         })
 }
 
+/// The trusted tier and the server plane, shared by every thread and
+/// called directly: a mutation is applied at the anonymizer and the
+/// user's fresh cloak is upserted into the plane under a plane-minted
+/// sequence number.
+struct Deployment {
+    anonymizer: ShardedAnonymizer,
+    plane: ServerPlane,
+}
+
+impl Deployment {
+    fn new() -> Self {
+        Self {
+            anonymizer: ShardedAnonymizer::new(GLOBAL_HEIGHT, SHARD_LEVEL),
+            plane: ServerPlane::new(CasperServer::new(), FilterCount::Four, 1),
+        }
+    }
+
+    fn push(&self, uid: UserId, region: Rect) -> Response {
+        self.plane.execute(Request::UpsertRegion {
+            handle: uid.0,
+            seq: 0,
+            region,
+        })
+    }
+
+    fn register(&self, uid: UserId, profile: Profile, pos: Point) -> Response {
+        self.anonymizer.register(uid, profile, pos);
+        let region = self
+            .anonymizer
+            .cloak(uid)
+            .expect("a registered user cloaks");
+        self.push(uid, region.rect)
+    }
+
+    fn update(&self, uid: UserId, pos: Point) -> Response {
+        self.anonymizer.update_location(uid, pos);
+        let region = self
+            .anonymizer
+            .cloak(uid)
+            .expect("a registered user cloaks");
+        self.push(uid, region.rect)
+    }
+
+    /// A private NN query: cloak, Algorithm 2 on the plane, refinement.
+    fn query(&self, uid: UserId, pseudonym: u64) -> Option<Entry> {
+        let region = self.anonymizer.cloak(uid)?.rect;
+        let Response::Candidates { entries, .. } = self.plane.execute(Request::NnCandidates {
+            pseudonym,
+            region,
+            filters: None,
+            category: None,
+        }) else {
+            panic!("the plane answers a candidate query with candidates");
+        };
+        CasperClient::new().refine_nn_entries(self.anonymizer.position_of(uid)?, &entries)
+    }
+}
+
+fn acked(resp: &Response) -> bool {
+    matches!(resp, Response::RegionAck { applied: true, .. })
+}
+
 #[test]
 fn eight_threads_with_shard_chaos_keep_every_guarantee() {
-    let engine: Arc<ParallelEngine<ShardedAnonymizer>> =
-        Arc::new(ParallelEngine::sharded(GLOBAL_HEIGHT, SHARD_LEVEL, OWNERS));
+    let engine = Arc::new(Deployment::new());
 
     let mut rng = StdRng::seed_from_u64(11);
-    engine.load_targets((0..400u64).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
+    engine
+        .plane
+        .write()
+        .load_public_targets((0..400u64).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
 
     // Background population spread over the space so small k values are
     // always satisfiable even while one shard is quarantined.
     for i in 0..BACKGROUND {
-        let resp = engine.submit(Request::Register {
-            uid: UserId(1_000_000 + i),
-            profile: Profile::new(1, 0.0),
-            pos: Point::new(rng.gen(), rng.gen()),
-        });
-        assert!(matches!(resp, Response::Maintained(_)));
+        let resp = engine.register(
+            UserId(1_000_000 + i),
+            Profile::new(1, 0.0),
+            Point::new(rng.gen(), rng.gen()),
+        );
+        assert!(acked(&resp));
     }
 
     // Even = no quarantine in flight; odd = a cycle is running. Owners
@@ -85,12 +150,9 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
             for u in 0..UIDS_PER_OWNER {
                 let profile =
                     Profile::new(rng.gen_range(2..=8), if u % 3 == 0 { 1e-3 } else { 0.0 });
-                let resp = engine.submit(Request::Register {
-                    uid: UserId(base + u),
-                    profile,
-                    pos: Point::new(rng.gen(), rng.gen()),
-                });
-                assert!(matches!(resp, Response::Maintained(_)));
+                let resp =
+                    engine.register(UserId(base + u), profile, Point::new(rng.gen(), rng.gen()));
+                assert!(acked(&resp));
             }
 
             for i in 0..ITERS {
@@ -98,13 +160,13 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
                 let e_before = epoch.load(Ordering::SeqCst);
 
                 let pos = Point::new(rng.gen(), rng.gen());
-                let resp = engine.submit(Request::UpdateLocation { uid, pos });
-                assert!(matches!(resp, Response::Maintained(_)));
+                let resp = engine.update(uid, pos);
+                assert!(acked(&resp));
 
-                let Response::Cloaked(Some(region)) = engine.submit(Request::Cloak { uid }) else {
+                let Some(region) = engine.anonymizer.cloak(uid) else {
                     panic!("owner {t}: cloak of registered user {uid:?} failed");
                 };
-                let profile = engine.anonymizer().profile_of(uid).expect("profile");
+                let profile = engine.anonymizer.profile_of(uid).expect("profile");
                 assert!(
                     region.user_count >= profile.k,
                     "owner {t} iter {i}: k-anonymity broken: {} < k={}",
@@ -128,7 +190,7 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
                 if e_before == e_after && e_before.is_multiple_of(2) {
                     // Stable window: no parked updates can make this uid's
                     // position stale, so the region must cover it.
-                    let p = engine.anonymizer().position_of(uid).expect("position");
+                    let p = engine.anonymizer.position_of(uid).expect("position");
                     assert!(
                         region.rect.contains(p),
                         "owner {t} iter {i}: stable-window region {:?} misses {p:?}",
@@ -137,17 +199,9 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
                 }
 
                 if i % 10 == 0 {
-                    let resp = engine.submit(Request::QueryNn {
-                        uid,
-                        filters: None,
-                        category: None,
-                    });
-                    let Response::Outcome(Some(outcome)) = resp else {
-                        panic!("owner {t} iter {i}: query did not produce an outcome");
-                    };
-                    let answer = outcome.answered().expect("the local plane always answers");
+                    let exact = engine.query(uid, (t * ITERS + i) as u64);
                     assert!(
-                        answer.exact.is_some(),
+                        exact.is_some(),
                         "owner {t} iter {i}: refinement found no candidate"
                     );
                 }
@@ -163,10 +217,10 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
             for _ in 0..CHAOS_CYCLES {
                 std::thread::sleep(Duration::from_millis(20));
                 epoch.fetch_add(1, Ordering::SeqCst); // odd: cycle running
-                engine.anonymizer().quarantine_shard(0);
-                assert!(!engine.anonymizer().shard_online(0));
+                engine.anonymizer.quarantine_shard(0);
+                assert!(!engine.anonymizer.shard_online(0));
                 std::thread::sleep(Duration::from_millis(15));
-                engine.anonymizer().restore_shard(0);
+                engine.anonymizer.restore_shard(0);
                 epoch.fetch_add(1, Ordering::SeqCst); // even: drained, stable
             }
         })
@@ -176,22 +230,24 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
         owner.join().expect("owner thread panicked");
     }
     chaos.join().expect("chaos thread panicked");
-    assert!(engine.anonymizer().shard_online(0));
+    assert!(engine.anonymizer.shard_online(0));
     assert_eq!(epoch.load(Ordering::SeqCst), 2 * CHAOS_CYCLES as u64);
 
     // Population conserved across every migration, park and drain.
     let expected = BACKGROUND as usize + OWNERS * UIDS_PER_OWNER as usize;
-    assert_eq!(engine.anonymizer().user_count(), expected);
-    let total: usize = (0..engine.anonymizer().shard_count())
-        .map(|i| engine.anonymizer().shard_population(i))
+    assert_eq!(engine.anonymizer.user_count(), expected);
+    let total: usize = (0..engine.anonymizer.shard_count())
+        .map(|i| engine.anonymizer.shard_population(i))
         .sum();
     assert_eq!(total, expected);
 }
 
+/// The batch entry point, [`AnonymizerService::cloak_many`] (what the
+/// benchmark's drivers cloak a window of users with), against the
+/// single-request path under contention.
 #[test]
 fn batch_entry_points_agree_with_the_request_plane_under_contention() {
-    let engine: Arc<ParallelEngine<ShardedAnonymizer>> =
-        Arc::new(ParallelEngine::sharded(GLOBAL_HEIGHT, SHARD_LEVEL, 4));
+    let engine = Arc::new(Deployment::new());
     let mut rng = StdRng::seed_from_u64(23);
 
     let users: Vec<(UserId, Profile, Point)> = (0..500u64)
@@ -203,7 +259,11 @@ fn batch_entry_points_agree_with_the_request_plane_under_contention() {
             )
         })
         .collect();
-    assert_eq!(engine.register_batch(users), 500);
+    for &(uid, profile, pos) in &users {
+        engine.anonymizer.register(uid, profile, pos);
+    }
+    let registered = push_batch(&engine, &users.iter().map(|u| u.0).collect::<Vec<_>>());
+    assert_eq!(registered, 500);
 
     // Two threads feed update batches while a third cloaks via the
     // single-request path; afterwards the batch cloaks must satisfy the
@@ -222,14 +282,18 @@ fn batch_entry_points_agree_with_the_request_plane_under_contention() {
                         )
                     })
                     .collect();
-                assert_eq!(engine.update_batch(batch), 250);
+                for &(uid, pos) in &batch {
+                    engine.anonymizer.update_location(uid, pos);
+                }
+                let uids: Vec<UserId> = batch.iter().map(|&(uid, _)| uid).collect();
+                assert_eq!(push_batch(&engine, &uids), 250);
             }
         }));
     }
     let mut singles = 0usize;
     while feeders.iter().any(|h| !h.is_finished()) {
         let uid = UserId(rng.gen_range(0..500));
-        if let Response::Cloaked(Some(_)) = engine.submit(Request::Cloak { uid }) {
+        if engine.anonymizer.cloak(uid).is_some() {
             singles += 1;
         }
     }
@@ -239,14 +303,27 @@ fn batch_entry_points_agree_with_the_request_plane_under_contention() {
     assert!(singles > 0, "the single-request path never got a cloak in");
 
     let uids: Vec<UserId> = (0..500).map(UserId).collect();
-    let regions = engine.cloak_batch(&uids);
+    let regions = engine.anonymizer.cloak_many(&uids);
     for (uid, region) in uids.iter().zip(&regions) {
         let region = region.as_ref().expect("every registered user cloaks");
-        let profile = engine.anonymizer().profile_of(*uid).expect("profile");
+        let profile = engine.anonymizer.profile_of(*uid).expect("profile");
         assert!(region.user_count >= profile.k);
         assert!(grid_aligned(&region.rect, region.level));
-        let pos = engine.anonymizer().position_of(*uid).expect("position");
+        let pos = engine.anonymizer.position_of(*uid).expect("position");
         assert!(region.rect.contains(pos));
     }
-    assert_eq!(engine.anonymizer().user_count(), 500);
+    assert_eq!(engine.anonymizer.user_count(), 500);
+}
+
+/// Cloaks `uids` in one batch and upserts every region; returns how many
+/// the plane acknowledged.
+fn push_batch(engine: &Deployment, uids: &[UserId]) -> usize {
+    engine
+        .anonymizer
+        .cloak_many(uids)
+        .into_iter()
+        .zip(uids)
+        .map(|(region, &uid)| engine.push(uid, region.expect("a registered user cloaks").rect))
+        .filter(|resp| matches!(resp, Response::RegionAck { .. }))
+        .count()
 }

@@ -21,8 +21,8 @@ use casper::core::faults::{ChaosProxy, FaultConfig};
 use casper::core::net::ServerConfig;
 use casper::core::wire::{self, Message, TraceContext};
 use casper::core::{
-    ClientConfig, Deadline, NetworkClient, NetworkServer, OverloadConfig, QueryOutcome,
-    RemoteCasper, RetryPolicy, ShardedAnonymizer,
+    ClientConfig, NetworkClient, NetworkServer, QueryOutcome, RemoteCasper, RetryPolicy,
+    ShardedAnonymizer,
 };
 use casper::prelude::*;
 use casper::telemetry;
@@ -312,9 +312,9 @@ fn chaos_traced_request_yields_connected_cross_process_span_tree() {
     server.shutdown();
 }
 
-/// A query submitted through the engine's classified entry point runs on
-/// a worker that adopted its dispatcher's `request` root. Its answer,
-/// its spans and its audit record must all name that one trace.
+/// A query submitted through `Casper`'s request plane (the `Engine`
+/// entry point) over a sharded trusted tier: its answer, its spans and
+/// its audit record must all name one trace.
 #[test]
 fn engine_query_answer_names_the_trace_its_spans_are_filed_under() {
     let _serial = SAMPLE_RATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -322,27 +322,21 @@ fn engine_query_answer_names_the_trace_its_spans_are_filed_under() {
     let _restore = RestoreSampleRate(spans.sample_rate());
     spans.set_sample_rate(1);
 
-    let engine = ParallelEngine::sharded(7, 1, 2).with_overload(OverloadConfig::default());
+    let mut engine = Casper::new(ShardedAnonymizer::new(7, 1));
     engine.load_targets((0..50u64).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
-    engine.register_batch(
-        (0..20u64)
-            .map(|i| {
-                (
-                    UserId(4000 + i),
-                    Profile::new(2, 0.0),
-                    Point::new(i as f64 / 20.0, 0.4),
-                )
-            })
-            .collect(),
-    );
+    for i in 0..20u64 {
+        engine.register_user(
+            UserId(4000 + i),
+            Profile::new(2, 0.0),
+            Point::new(i as f64 / 20.0, 0.4),
+        );
+    }
     let query = Request::QueryNn {
         uid: UserId(4003),
         filters: None,
         category: None,
     };
-    let Response::Outcome(Some(QueryOutcome::Answered(ans))) =
-        engine.execute_with_deadline(query, Deadline::none())
-    else {
+    let Response::Outcome(Some(QueryOutcome::Answered(ans))) = engine.execute(query) else {
         panic!("expected an answered query");
     };
     let tree = spans.trace(ans.trace_id);

@@ -174,3 +174,81 @@ fn adaptive_structure_gives_the_same_guarantees() {
         assert!(region.area() >= profile.a_min - 1e-12);
     }
 }
+
+/// The audit records of `uid`: every one must be a fail-private refusal
+/// of a `k = 5` profile, never a served region.
+fn assert_refused_only(uid: UserId, expected: usize) {
+    let records: Vec<_> = casper::telemetry::audit()
+        .dump()
+        .into_iter()
+        .filter(|r| r.uid == uid.0)
+        .collect();
+    assert_eq!(records.len(), expected, "{records:?}");
+    for rec in &records {
+        assert!(!rec.served, "an infeasible cloak was released: {rec:?}");
+        assert_eq!(rec.shed_reason, "fail_private");
+        assert_eq!(rec.k_required, 5);
+        assert!(rec.k_achieved < rec.k_required, "{rec:?}");
+        assert!(!rec.is_violation());
+    }
+}
+
+/// Fail private, not fail open, on both façades of the one pipeline. A
+/// user whose `k` exceeds the whole population can only be cloaked to a
+/// region with `k' < k`. That region must never cross to the server:
+/// not as the user's stored region, not as a query. The query answers
+/// `None`, and the audit log records each refusal as `served: false`,
+/// `fail_private`.
+#[test]
+fn infeasible_cloak_is_refused_fail_private_on_both_facades() {
+    // Outside every other test's uid range: the audit log is
+    // process-global.
+    const LONELY_LOCAL: UserId = UserId(91_000);
+    const LONELY_REMOTE: UserId = UserId(92_000);
+    let infeasible = Profile::new(5, 0.0);
+    let lookups = |c: &Casper<CompletePyramid>| {
+        let s = c.cache_stats().expect("the candidate cache is on");
+        s.hits + s.misses + s.stale
+    };
+
+    // In process: nothing reaches the plane's private store or its
+    // query processor (every candidate query consults the cache).
+    let mut local = Casper::new(CompletePyramid::new(7));
+    local.load_targets([(ObjectId(1), Point::new(0.5, 0.5))]);
+    local.register_user(LONELY_LOCAL, infeasible, Point::new(0.3, 0.3));
+    assert_eq!(local.server().private_count(), 0, "the region was stored");
+    let before = lookups(&local);
+    assert!(
+        local.query_nn(LONELY_LOCAL).is_none(),
+        "the query was answered"
+    );
+    assert_eq!(lookups(&local), before, "the query reached the server");
+    assert_refused_only(LONELY_LOCAL, 2);
+    // The instruments can see a released cloak.
+    local.register_user(UserId(91_001), Profile::new(1, 0.0), Point::new(0.7, 0.7));
+    assert!(local.query_nn(UserId(91_001)).is_some());
+    assert_eq!(local.server().private_count(), 1);
+    assert!(lookups(&local) > before);
+
+    // Over the wire: not one frame reaches the live server.
+    let mut backend = CasperServer::new();
+    backend.load_public_targets([(ObjectId(1), Point::new(0.5, 0.5))]);
+    let server = casper::core::NetworkServer::spawn(backend, FilterCount::Four).unwrap();
+    let mut remote = casper::core::RemoteCasper::new(CompletePyramid::new(7), server.addr());
+    remote.register_user(LONELY_REMOTE, infeasible, Point::new(0.3, 0.3));
+    assert!(
+        remote.query_nn(LONELY_REMOTE).is_none(),
+        "the query was sent"
+    );
+    assert_eq!(
+        remote.pending_updates(),
+        0,
+        "the region is owed to the server"
+    );
+    assert_eq!(server.stats().frames, 0, "a frame reached the server");
+    assert_eq!(server.with_server(|s| s.private_count()), 0);
+    assert_refused_only(LONELY_REMOTE, 2);
+    remote.register_user(UserId(92_001), Profile::new(1, 0.0), Point::new(0.7, 0.7));
+    assert!(server.stats().frames > 0);
+    server.shutdown();
+}

@@ -1,7 +1,7 @@
 //! Cache coherence under real thread contention.
 //!
-//! Eight threads hammer one shared [`ParallelEngine`] (candidate cache
-//! on, default) with candidate queries while mutation rounds churn the
+//! Eight threads hammer one shared [`ServerPlane`] (candidate cache on,
+//! default) with candidate queries, as the TCP server's reactors do, while mutation rounds churn the
 //! public and private stores between quiesced windows. Every answer
 //! observed in a window is replayed against a serial, cache-*off*
 //! [`CasperServer`] oracle holding the same store state — the two must
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use casper::core::ShardedAnonymizer;
+use casper::core::engine::ServerPlane;
 use casper::prelude::*;
 
 const THREADS: usize = 8;
@@ -71,7 +71,7 @@ fn private_region(round: usize, handle: u64) -> Rect {
     Rect::centered_at(c, 0.05, 0.05).clamp_to(&Rect::unit())
 }
 
-/// Round `r`'s mutation batch, identical for the engine and the oracle.
+/// Round `r`'s mutation batch, identical for the plane and the oracle.
 fn mutation_batch(round: usize) -> (Vec<(ObjectId, Point)>, Vec<(PrivateHandle, Rect)>) {
     let targets = (0..60u64)
         .map(|id| (ObjectId(id), target_pos(round, id)))
@@ -84,9 +84,8 @@ fn mutation_batch(round: usize) -> (Vec<(ObjectId, Point)>, Vec<(PrivateHandle, 
 
 #[test]
 fn eight_threads_agree_with_serial_cache_off_oracle() {
-    let engine: Arc<ParallelEngine<ShardedAnonymizer>> =
-        Arc::new(ParallelEngine::sharded(8, 2, THREADS));
-    assert!(engine.with_server(|s| s.query_cache_enabled()));
+    let plane = Arc::new(ServerPlane::new(CasperServer::new(), FilterCount::Four, 1));
+    assert!(plane.read().query_cache_enabled());
 
     let mut oracle = CasperServer::new();
     oracle.set_query_cache_enabled(false);
@@ -95,11 +94,11 @@ fn eight_threads_agree_with_serial_cache_off_oracle() {
         // Quiesced mutation phase, applied identically to both sides.
         let (targets, regions) = mutation_batch(round);
         for &(id, p) in &targets {
-            engine.with_server_mut(|s| s.upsert_public_target(id, p));
+            plane.write().upsert_public_target(id, p);
             oracle.upsert_public_target(id, p);
         }
         for &(h, r) in &regions {
-            engine.with_server_mut(|s| s.upsert_private_region(h, r));
+            plane.write().upsert_private_region(h, r);
             oracle.upsert_private_region(h, r);
         }
 
@@ -108,12 +107,12 @@ fn eight_threads_agree_with_serial_cache_off_oracle() {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..THREADS {
-                let engine = Arc::clone(&engine);
+                let plane = Arc::clone(&plane);
                 handles.push(scope.spawn(move || {
                     let mut seen = Vec::new();
                     for i in 0..QUERIES_PER_THREAD {
                         let region = query_region(round, t, i);
-                        let resp = engine.submit(Request::NnCandidates {
+                        let resp = plane.execute(Request::NnCandidates {
                             pseudonym: (t * QUERIES_PER_THREAD + i) as u64,
                             region,
                             filters: Some(FilterCount::Two),
@@ -148,7 +147,7 @@ fn eight_threads_agree_with_serial_cache_off_oracle() {
     }
 
     // Shared regions must actually have shared work across threads.
-    let stats = engine.cache_stats().expect("cache is on");
+    let stats = plane.read().cache_stats().expect("cache is on");
     assert!(
         stats.hits > 0,
         "8 threads querying overlapping regions never hit the cache: {stats:?}"
@@ -157,23 +156,22 @@ fn eight_threads_agree_with_serial_cache_off_oracle() {
 
 #[test]
 fn racing_mutations_leave_no_stale_entries_behind() {
-    let engine: Arc<ParallelEngine<ShardedAnonymizer>> =
-        Arc::new(ParallelEngine::sharded(8, 2, THREADS));
+    let plane = Arc::new(ServerPlane::new(CasperServer::new(), FilterCount::Four, 1));
 
     // Half the threads mutate, half query, no coordination whatsoever.
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let engine = Arc::clone(&engine);
+            let plane = Arc::clone(&plane);
             scope.spawn(move || {
                 for i in 0..QUERIES_PER_THREAD {
                     if t % 2 == 0 {
                         let id = (t * QUERIES_PER_THREAD + i) as u64 % 60;
-                        engine.with_server_mut(|s| {
-                            s.upsert_public_target(ObjectId(id), target_pos(i, id))
-                        });
+                        plane
+                            .write()
+                            .upsert_public_target(ObjectId(id), target_pos(i, id));
                     } else {
                         let region = query_region(0, t, i);
-                        let resp = engine.submit(Request::NnCandidates {
+                        let resp = plane.execute(Request::NnCandidates {
                             pseudonym: i as u64,
                             region,
                             filters: Some(FilterCount::One),
@@ -191,13 +189,13 @@ fn racing_mutations_leave_no_stale_entries_behind() {
     // store (i.e. the storm left no stale cache entries behind).
     let mut fresh = CasperServer::new();
     fresh.set_query_cache_enabled(false);
-    for e in engine.with_server(|s| s.public_entries()) {
+    for e in plane.read().public_entries() {
         fresh.upsert_public_target(e.id, Point::new(e.mbr.min.x, e.mbr.min.y));
     }
     for t in (1..THREADS).step_by(2) {
         for i in 0..QUERIES_PER_THREAD {
             let region = query_region(0, t, i);
-            let resp = engine.submit(Request::NnCandidates {
+            let resp = plane.execute(Request::NnCandidates {
                 pseudonym: 0,
                 region,
                 filters: Some(FilterCount::One),

@@ -92,7 +92,8 @@ fn populate_shards(sharded: &ShardedAnonymizer, n: u64) -> (Vec<Vec<u64>>, Vec<P
 
 /// Satellite of the overload work: one shard stalled hard must not
 /// block the seven sibling threads — per-shard locking keeps slow
-/// shards' pain local, which is what admission control relies on.
+/// shards' pain local, so one slow shard cannot hold the wire path's
+/// reactors hostage for users elsewhere.
 #[test]
 fn storm_with_stalled_shard_does_not_block_siblings() {
     use std::time::{Duration, Instant};
@@ -168,10 +169,12 @@ fn an_outage_loses_no_registered_user() {
         let l = std::net::TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
         l.local_addr().unwrap()
     };
+    // While the server is down every connect is refused at once, so the
+    // 10 ms connect timeout keeps the outage fast. The read and write
+    // timeouts stay at their defaults: they only bound the flush after
+    // the server is back, which one scheduler stall must not fail.
     let fast = ClientConfig {
         connect_timeout: Duration::from_millis(10),
-        read_timeout: Duration::from_millis(10),
-        write_timeout: Duration::from_millis(10),
         retry: RetryPolicy::no_retry(),
         pipeline_window: 32,
         ..ClientConfig::default()
