@@ -30,3 +30,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// it with the retired v1 encoder. CI validates each artifact against
 /// its expected per-file version.
 pub const SCHEMA_VERSION_V3: u32 = 3;
+
+/// Schema of `trace_overhead` since `overhead_pct` is the median of
+/// paired repetitions written as `{median, iqr, n}` instead of one
+/// number.
+pub const SCHEMA_VERSION_V2: u32 = 2;

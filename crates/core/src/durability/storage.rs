@@ -7,9 +7,13 @@
 //!
 //! Two implementations ship:
 //!
-//! * [`DirStorage`] — the real thing: one flat directory, `O_APPEND`
-//!   writes, `fsync` on [`Storage::sync`], and write-temp-fsync-rename
-//!   (plus a directory fsync) for [`Storage::write_atomic`].
+//! * [`DirStorage`] — the real thing: one flat directory. A file it
+//!   creates is written with direct I/O into zero-filled space it has
+//!   preallocated and made durable, so [`Storage::sync`] is an
+//!   `fdatasync` that commits no metadata; a file it did not create, or
+//!   any file on a filesystem that refuses direct I/O, is written with
+//!   `O_APPEND` and synced with `fsync`. [`Storage::write_atomic`] is
+//!   write-temp-fsync-rename plus a directory fsync. See DESIGN §11.1.
 //! * [`MemStorage`] — a deterministic in-memory disk with **fault
 //!   injection** in the spirit of [`crate::faults::ChaosProxy`]: a
 //!   seeded [`FaultPlan`] crashes the store after a chosen number of
@@ -25,6 +29,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::retry::SplitMix64;
@@ -58,18 +63,178 @@ pub trait Storage: Send + Sync {
 // ---------------------------------------------------------------------
 // Directory-backed storage.
 
+/// `O_DIRECT` as the Linux target architectures number it.
+#[cfg(any(target_arch = "aarch64", target_arch = "arm"))]
+const O_DIRECT: i32 = 0o200_000;
+#[cfg(any(target_arch = "powerpc", target_arch = "powerpc64"))]
+const O_DIRECT: i32 = 0o400_000;
+#[cfg(any(target_arch = "mips", target_arch = "mips64"))]
+const O_DIRECT: i32 = 0o100_000;
+#[cfg(not(any(
+    target_arch = "aarch64",
+    target_arch = "arm",
+    target_arch = "powerpc",
+    target_arch = "powerpc64",
+    target_arch = "mips",
+    target_arch = "mips64"
+)))]
+const O_DIRECT: i32 = 0o40_000;
+
+/// The errno a filesystem that refuses direct I/O answers with.
+const EINVAL: i32 = 22;
+
+/// Direct-I/O unit: every direct write's offset, length and buffer
+/// address are multiples of it.
+const BLOCK: u64 = 4096;
+
+/// Preallocation step: a direct file grows by whole MiBs of zeros.
+const EXTENT: u64 = 1 << 20;
+
+fn round_up(n: u64, unit: u64) -> u64 {
+    n.div_ceil(unit) * unit
+}
+
+/// `len` bytes of `buf` starting at a [`BLOCK`]-aligned address.
+fn aligned(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    let block = BLOCK as usize;
+    if buf.len() < len + block {
+        buf.resize(len + block, 0);
+    }
+    let at = buf.as_ptr().align_offset(block);
+    &mut buf[at..at + len]
+}
+
+/// A file [`DirStorage`] created: appended to with direct I/O inside
+/// zero-filled space that is already durable, so a flush writes data
+/// blocks only.
+struct DirectFile {
+    file: fs::File,
+    /// Bytes appended: the logical end of the file.
+    len: u64,
+    /// Bytes of zero-filled space the file holds, its size on disk.
+    allocated: u64,
+    /// The appended bytes of the last, partly filled block; the next
+    /// append rewrites that block with them as its prefix.
+    tail: Vec<u8>,
+    /// Scratch for aligned writes.
+    buf: Vec<u8>,
+}
+
+impl DirectFile {
+    /// Creates `path` with `O_DIRECT` and its first extent. `Ok(None)`
+    /// when the filesystem refuses direct I/O (nothing is left behind).
+    fn create(path: &std::path::Path) -> io::Result<Option<Self>> {
+        use std::os::unix::fs::OpenOptionsExt;
+        let refused = |e: &io::Error| e.raw_os_error() == Some(EINVAL);
+        let file = match fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .custom_flags(O_DIRECT)
+            .open(path)
+        {
+            Ok(file) => file,
+            Err(e) if refused(&e) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let mut direct = Self {
+            file,
+            len: 0,
+            allocated: 0,
+            tail: Vec::new(),
+            buf: Vec::new(),
+        };
+        match direct.extend_to(EXTENT) {
+            Ok(()) => Ok(Some(direct)),
+            Err(e) => {
+                drop(direct);
+                fs::remove_file(path)?;
+                if refused(&e) {
+                    Ok(None)
+                } else {
+                    Err(e)
+                }
+            }
+        }
+    }
+
+    /// Grows the file with zeros to at least `need` bytes, in whole
+    /// extents, and makes the new size durable before returning.
+    fn extend_to(&mut self, need: u64) -> io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        let target = round_up(need, EXTENT);
+        let mut zeros = Vec::new();
+        let zeros = aligned(&mut zeros, EXTENT as usize);
+        while self.allocated < target {
+            self.file.write_all_at(zeros, self.allocated)?;
+            self.allocated += EXTENT;
+        }
+        self.file.sync_all()
+    }
+
+    /// Writes `data` at the logical end: one direct write from the start
+    /// of the tail block, which carries the tail's bytes unchanged, to
+    /// the next block boundary, zero-padded.
+    fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        if data.is_empty() {
+            return Ok(());
+        }
+        let start = self.len - self.tail.len() as u64;
+        let end = self.len + data.len() as u64;
+        let span = round_up(end, BLOCK) - start;
+        if start + span > self.allocated {
+            self.extend_to(start + span)?;
+        }
+        let out = aligned(&mut self.buf, span as usize);
+        let (kept, used) = (self.tail.len(), (end - start) as usize);
+        out[..kept].copy_from_slice(&self.tail);
+        out[kept..used].copy_from_slice(data);
+        out[used..].fill(0);
+        self.file.write_all_at(out, start)?;
+        self.tail.clear();
+        self.tail
+            .extend_from_slice(&out[used - (end % BLOCK) as usize..used]);
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// How [`DirStorage`] writes one open file.
+enum Handle {
+    /// Created here, on a filesystem that takes direct I/O.
+    Direct(DirectFile),
+    /// Anything else: buffered `O_APPEND` writes, `fsync`.
+    Append(fs::File),
+}
+
 /// [`Storage`] over one flat directory on the local filesystem.
+///
+/// A file it creates through [`Storage::append`] is preallocated in
+/// zero-filled MiB extents, each made durable as it is added, and
+/// written with direct I/O in 4 KiB blocks; the partly filled last block
+/// is rewritten with its earlier bytes unchanged. Its size on disk, which
+/// [`Storage::len`] and [`Storage::read`] report, therefore runs past the
+/// appended bytes into zeros, which WAL recovery reads as a clean end.
+/// [`Storage::sync`] on such a file is `fdatasync`: size and block map
+/// are already durable, so it flushes data only. A file that existed
+/// before, and every file on a filesystem that refuses direct I/O, is
+/// appended to with `O_APPEND` and synced with `fsync`.
 pub struct DirStorage {
     root: PathBuf,
-    /// Cached append handles so a hot WAL does not reopen per record
-    /// batch; `sync` flushes through the same handle.
-    handles: Mutex<HashMap<String, fs::File>>,
+    /// Open handles so a hot WAL does not reopen per record batch;
+    /// `sync` flushes through the same handle.
+    handles: Mutex<HashMap<String, Handle>>,
+    /// Whether new files try direct I/O; cleared for good the first
+    /// time the filesystem refuses it.
+    direct: AtomicBool,
 }
 
 impl std::fmt::Debug for DirStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DirStorage")
             .field("root", &self.root)
+            .field("direct", &self.direct.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -82,7 +247,23 @@ impl DirStorage {
         Ok(Self {
             root,
             handles: Mutex::new(HashMap::new()),
+            direct: AtomicBool::new(true),
         })
+    }
+
+    /// A store that writes every file the way it writes on a filesystem
+    /// that refuses direct I/O.
+    #[cfg(test)]
+    pub(crate) fn open_buffered(root: impl Into<PathBuf>) -> io::Result<Self> {
+        let s = Self::open(root)?;
+        s.direct.store(false, Ordering::Relaxed);
+        Ok(s)
+    }
+
+    /// Whether new files are still written with direct I/O here.
+    #[cfg(test)]
+    pub(crate) fn writes_direct(&self) -> bool {
+        self.direct.load(Ordering::Relaxed)
     }
 
     /// The backing directory.
@@ -100,6 +281,30 @@ impl DirStorage {
         if let Ok(d) = fs::File::open(&self.root) {
             let _ = d.sync_all();
         }
+    }
+
+    /// Opens `name` for appending: a direct file when this store creates
+    /// it and the filesystem allows, else an `O_APPEND` handle.
+    fn open_handle(&self, name: &str) -> io::Result<Handle> {
+        let path = self.path(name);
+        if self.direct.load(Ordering::Relaxed) {
+            match DirectFile::create(&path) {
+                Ok(Some(file)) => {
+                    // The new name must outlive a crash as surely as the
+                    // records that will be acked from it.
+                    self.sync_dir();
+                    return Ok(Handle::Direct(file));
+                }
+                Ok(None) => self.direct.store(false, Ordering::Relaxed),
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let file = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        Ok(Handle::Append(file))
     }
 }
 
@@ -127,22 +332,20 @@ impl Storage for DirStorage {
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
         let mut handles = lock(&self.handles);
         if !handles.contains_key(name) {
-            let file = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.path(name))?;
-            handles.insert(name.to_string(), file);
+            let handle = self.open_handle(name)?;
+            handles.insert(name.to_string(), handle);
         }
-        handles
-            .get_mut(name)
-            .expect("just inserted")
-            .write_all(data)
+        match handles.get_mut(name).expect("just inserted") {
+            Handle::Direct(file) => file.append(data),
+            Handle::Append(file) => file.write_all(data),
+        }
     }
 
     fn sync(&self, name: &str) -> io::Result<()> {
         let handles = lock(&self.handles);
         match handles.get(name) {
-            Some(file) => file.sync_all(),
+            Some(Handle::Direct(file)) => file.file.sync_data(),
+            Some(Handle::Append(file)) => file.sync_all(),
             // Nothing appended through us yet: sync whatever is on disk.
             None => match fs::File::open(self.path(name)) {
                 Ok(f) => f.sync_all(),
@@ -464,10 +667,19 @@ pub(crate) fn read_reliable<S: Storage + ?Sized>(storage: &S, name: &str) -> io:
 mod tests {
     use super::*;
 
+    /// A fresh directory under the temp dir, unique to this test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("casper-dur-{test}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        root
+    }
+
     #[test]
     fn dir_storage_round_trips_and_lists() {
-        let root = std::env::temp_dir().join(format!("casper-dur-{}", std::process::id()));
-        let s = DirStorage::open(&root).unwrap();
+        // The buffered path, which every filesystem supports; a direct
+        // file reads back with zero fill after its bytes (below).
+        let root = scratch_dir("round-trip");
+        let s = DirStorage::open_buffered(&root).unwrap();
         s.append("a.log", b"hello ").unwrap();
         s.append("a.log", b"world").unwrap();
         s.sync("a.log").unwrap();
@@ -482,6 +694,55 @@ mod tests {
         assert!(s.read("a.log").is_err());
         s.remove("b.bin").unwrap();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_storage_direct_files_read_as_appended_bytes_then_zero_fill() {
+        let root = scratch_dir("direct");
+        let s = DirStorage::open(&root).unwrap();
+        // Uneven appends that start and end inside blocks, cross block
+        // boundaries and finally the first extent, synced now and then.
+        let mut written = Vec::new();
+        let mut n = 0x5EEDu64;
+        for i in 0..60usize {
+            let size = if i == 59 {
+                EXTENT as usize
+            } else {
+                1 + i * 97 % 3000
+            };
+            let chunk: Vec<u8> = (0..size)
+                .map(|_| {
+                    n = n.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (n >> 56) as u8 | 1
+                })
+                .collect();
+            s.append("w.log", &chunk).unwrap();
+            written.extend_from_slice(&chunk);
+            if i % 7 == 0 {
+                s.sync("w.log").unwrap();
+            }
+        }
+        s.sync("w.log").unwrap();
+        let data = s.read("w.log").unwrap();
+        assert_eq!(s.len("w.log").unwrap(), data.len() as u64);
+        assert_eq!(
+            &data[..written.len()],
+            &written[..],
+            "appended bytes changed"
+        );
+        assert!(data[written.len()..].iter().all(|&b| b == 0));
+        if s.writes_direct() {
+            assert_eq!(data.len() as u64, round_up(written.len() as u64, EXTENT));
+        } else {
+            assert_eq!(data.len(), written.len());
+        }
+        // A file that already exists is appended to, not recreated.
+        s.remove("w.log").unwrap();
+        fs::write(root.join("old.log"), b"old").unwrap();
+        s.append("old.log", b"+new").unwrap();
+        s.sync("old.log").unwrap();
+        assert_eq!(s.read("old.log").unwrap(), b"old+new");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -210,6 +210,23 @@ pub fn decode_records(
     }
 }
 
+/// Decodes a whole WAL file as [`decode_records`] does, except that a
+/// remainder of nothing but zero bytes after the last whole record is a
+/// clean end: `DirStorage` preallocates its files with zeros, so a log
+/// that ends cleanly ends in zero fill. A record torn anywhere before
+/// that fill still stops decoding with its own reason, because its bytes
+/// are not all zero. (A tear that left only zero bytes of a record looks
+/// like fill, and loses nothing: that record was never whole.)
+pub fn decode_log(data: &[u8], expect_seq: Option<u64>) -> (Vec<WalRecord>, usize, DecodeStop) {
+    let (records, valid, stop) = decode_records(data, expect_seq);
+    let stop = if data[valid..].iter().all(|&b| b == 0) {
+        DecodeStop::End
+    } else {
+        stop
+    };
+    (records, valid, stop)
+}
+
 /// Decodes the record at the front of `rest`, returning it and its
 /// encoded length.
 fn decode_record(rest: &[u8], expect_seq: Option<u64>) -> Result<(WalRecord, usize), DecodeStop> {
@@ -342,6 +359,12 @@ impl<S: Storage + ?Sized> GroupWal<S> {
         lock(&self.state).next_seq
     }
 
+    /// Whether an append or fsync has failed: the log then refuses every
+    /// further write, for good.
+    pub fn poisoned(&self) -> bool {
+        lock(&self.state).poisoned
+    }
+
     /// Redirects future appends to `file`, with `next_seq` continuing
     /// the sequence. Used at checkpoint rotation; the caller must have
     /// flushed (no commits in flight).
@@ -398,7 +421,9 @@ impl<S: Storage + ?Sized> GroupWal<S> {
     }
 
     /// Blocks until every op with sequence `<= seq` is durable, flushing
-    /// on behalf of the group if no one else is.
+    /// on behalf of the group if no one else is. Fails with
+    /// [`DurabilityError::WalPoisoned`] only for a seq no flush made
+    /// durable.
     pub(crate) fn wait_durable(&self, seq: u64) -> Result<(), DurabilityError> {
         // The group-commit wait — queueing behind the current flusher
         // plus the fsync itself — is where a traced request spends its
@@ -406,11 +431,13 @@ impl<S: Storage + ?Sized> GroupWal<S> {
         let mut wal_span = crate::tel::span("wal_commit");
         let mut state = lock(&self.state);
         let waited = loop {
-            if state.poisoned {
-                break Err(DurabilityError::WalPoisoned);
-            }
+            // Durable first: a seq the disk holds is committed even if a
+            // later flush has failed since, and its commit must apply.
             if state.durable_seq >= seq {
                 break Ok(());
+            }
+            if state.poisoned {
+                break Err(DurabilityError::WalPoisoned);
             }
             if state.flushing {
                 // Someone else is at the disk; our record is in their
@@ -514,6 +541,42 @@ mod tests {
                 assert_ne!(stop, DecodeStop::End, "cut={cut} should not look complete");
             }
         }
+    }
+
+    #[test]
+    fn zero_fill_is_a_clean_end_but_a_tear_before_it_is_not() {
+        let mut log = Vec::new();
+        let mut boundaries = vec![0usize];
+        for (i, op) in ops().iter().enumerate() {
+            encode_record(&mut log, i as u64, op);
+            boundaries.push(log.len());
+        }
+        for cut in 0..=log.len() {
+            let mut file = log[..cut].to_vec();
+            file.resize(cut + 4096, 0);
+            let (records, valid, stop) = decode_log(&file, Some(0));
+            assert!(boundaries.contains(&valid), "valid={valid} not a boundary");
+            assert_eq!(
+                records.len(),
+                boundaries.iter().position(|&b| b == valid).unwrap()
+            );
+            // A record cut just before bytes that are zero anyway reads
+            // back whole from the fill: it is the op that was written.
+            let torn = &log[valid.min(cut)..cut];
+            assert!(log[cut..valid.max(cut)].iter().all(|&b| b == 0));
+            if torn.iter().all(|&b| b == 0) {
+                // Whole records, or a tear that left only zero bytes of
+                // the next one: nothing durable was lost either way.
+                assert_eq!(stop, DecodeStop::End, "cut={cut}");
+            } else {
+                assert_ne!(stop, DecodeStop::End, "cut={cut}: torn bytes read as fill");
+            }
+        }
+        // Zero fill then a record again is not fill.
+        let mut file = log.clone();
+        file.extend_from_slice(&[0; 512]);
+        encode_record(&mut file, 4, &ops()[0]);
+        assert_eq!(decode_log(&file, Some(0)).2, DecodeStop::BadLength);
     }
 
     #[test]
@@ -637,5 +700,28 @@ mod tests {
             wal.commit(&op).unwrap_err(),
             DurabilityError::WalPoisoned
         ));
+    }
+
+    /// Two commits ride one flush; before the earlier one's thread looks
+    /// again, a later flush fails. The earlier seq is on disk, so its
+    /// wait succeeds: were it refused, its commit would leave without
+    /// applying and the later one would wait for its turn for ever.
+    #[test]
+    fn a_seq_made_durable_stays_committed_after_a_later_flush_fails() {
+        use super::super::storage::FaultPlan;
+        let storage = Arc::new(MemStorage::with_faults(FaultPlan {
+            seed: 1,
+            crash_after_writes: Some(2),
+            ..FaultPlan::default()
+        }));
+        let wal = GroupWal::new(storage, "w.log".into(), 1);
+        let op = WalOp::Deregister { uid: UserId(1) };
+        let first = wal.log(std::slice::from_ref(&op), |_| {}).unwrap();
+        let second = wal.log(std::slice::from_ref(&op), |_| {}).unwrap();
+        wal.wait_durable(second).unwrap(); // append+sync = writes 1,2
+        let third = wal.log(std::slice::from_ref(&op), |_| {}).unwrap();
+        assert!(wal.wait_durable(third).is_err()); // write 3 crashes
+        assert!(wal.poisoned());
+        assert!(wal.wait_durable(first).is_ok(), "a durable seq was refused");
     }
 }

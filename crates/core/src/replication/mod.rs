@@ -435,7 +435,7 @@ where
 
     /// Blocks until the configured ack horizon reaches `seq`, the ack
     /// timeout elapses (degrade to local, `false`), or the pair is
-    /// fenced, diverged or stopped (`false`).
+    /// fenced, diverged, poisoned or stopped (`false`).
     fn wait_synced(&self, seq: u64) -> bool {
         let horizon = |acks: &AckState| match self.shared.config.mode {
             DurabilityMode::LocalFsync => u64::MAX,
@@ -451,7 +451,10 @@ where
             if horizon(&acks) >= seq {
                 return true;
             }
-            if self.shared.refusal().is_some() || self.shared.stop.load(Ordering::Relaxed) {
+            if self.shared.refusal().is_some()
+                || self.shared.stop.load(Ordering::Relaxed)
+                || self.durable.wal_poisoned()
+            {
                 return false;
             }
             let now = Instant::now();
@@ -550,6 +553,9 @@ where
 /// Until the standby has answered once, nothing ships: the first frame
 /// is a heartbeat advertising the recovered horizon, and its answer
 /// shows whether the standby holds history this run of the node lost.
+/// Once the local WAL is poisoned the thread stops: a primary that can
+/// accept no write ships nothing and sends no heartbeat, so its standby
+/// promotes.
 fn ship_loop<A, S>(durable: &DurableAnonymizer<A, S>, shared: &SenderShared, standby: SocketAddr)
 where
     A: AnonymizerService,
@@ -559,7 +565,10 @@ where
     let mut stream: Option<FramedStream> = None;
     let mut last_send = Instant::now() - cfg.heartbeat_interval;
     let mut verified = false;
-    while !shared.stop.load(Ordering::Relaxed) && shared.refusal().is_none() {
+    while !shared.stop.load(Ordering::Relaxed)
+        && shared.refusal().is_none()
+        && !durable.wal_poisoned()
+    {
         // (Re)connect if needed.
         if stream.is_none() {
             match TcpStream::connect_timeout(&standby, cfg.connect_timeout) {
@@ -686,6 +695,8 @@ where
             }
         }
     }
+    // Writers waiting on an ack see why none will come.
+    shared.acked.notify_all();
 }
 
 /// Sleeps `dur` in small slices so `stop` cuts reconnect backoff short.
@@ -935,8 +946,9 @@ mod tests {
 
     /// A [`MemStorage`] that counts `sync` calls, can hold them on a
     /// latch (a held `sync` has been counted but blocks until released),
-    /// can make each one take `sync_delay` like a real disk, and fails
-    /// every `append` while `fail` is set.
+    /// can make each one take `sync_delay` like a real disk, fails every
+    /// `append` while `fail` is set (a failing append waits for the
+    /// latch too), and fails every `sync` while `fail_sync` is set.
     #[derive(Default)]
     struct Probe {
         disk: MemStorage,
@@ -945,11 +957,20 @@ mod tests {
         held: Mutex<bool>,
         opened: Condvar,
         fail: AtomicBool,
+        fail_sync: AtomicBool,
     }
 
     impl Probe {
         fn syncs(&self) -> u64 {
             self.syncs.load(Ordering::SeqCst)
+        }
+
+        /// Blocks while the latch is held.
+        fn pass_latch(&self) {
+            let mut held = lock(&self.held);
+            while *held {
+                held = wait(&self.opened, held);
+            }
         }
 
         /// Holds every `sync` until the returned latch drops — on a
@@ -981,18 +1002,18 @@ mod tests {
         }
         fn append(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
             if self.fail.load(Ordering::SeqCst) {
+                self.pass_latch();
                 return Err(std::io::Error::other("injected append failure"));
             }
             self.disk.append(name, data)
         }
         fn sync(&self, name: &str) -> std::io::Result<()> {
             self.syncs.fetch_add(1, Ordering::SeqCst);
-            let mut held = lock(&self.held);
-            while *held {
-                held = wait(&self.opened, held);
-            }
-            drop(held);
+            self.pass_latch();
             std::thread::sleep(self.sync_delay);
+            if self.fail_sync.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected sync failure"));
+            }
             self.disk.sync(name)
         }
         fn write_atomic(&self, name: &str, data: &[u8]) -> std::io::Result<()> {
@@ -1524,8 +1545,9 @@ mod tests {
 
     /// A `StandbyFsync` standby holding user 1 at `NEW` as seq 2, a
     /// record its primary shipped and then lost: the primary's append
-    /// failed, so its disk ends at seq 1. The primary is gone; `disk` is
-    /// what it left behind.
+    /// failed, so its disk ends at seq 1. The append fails only once the
+    /// record is on the standby, because a poisoned primary ships
+    /// nothing more. The primary is gone; `disk` is what it left behind.
     fn standby_ahead_of_a_lost_record() -> (NetworkServer, Standby<Pyramid, MemStorage>, Arc<Probe>)
     {
         let cfg = patient_cfg(DurabilityMode::StandbyFsync);
@@ -1537,11 +1559,16 @@ mod tests {
             .unwrap();
         assert!(c.synced);
         disk.fail.store(true, Ordering::SeqCst);
-        assert!(primary.try_update_location(UserId(1), NEW).is_err());
-        assert!(
-            eventually(|| standby.durable().durable_seq() == 2),
-            "the record never reached the standby"
-        );
+        std::thread::scope(|scope| {
+            let latch = disk.hold();
+            let update = scope.spawn(|| primary.try_update_location(UserId(1), NEW));
+            assert!(
+                eventually(|| standby.durable().durable_seq() == 2),
+                "the record never reached the standby"
+            );
+            drop(latch);
+            assert!(update.join().unwrap().is_err());
+        });
         assert_eq!(standby.durable().position_of(UserId(1)), Some(NEW));
         drop(primary);
         disk.fail.store(false, Ordering::SeqCst);
@@ -1632,6 +1659,169 @@ mod tests {
         ));
         assert_eq!(standby.durable().durable_seq(), 3);
         assert_eq!(standby.durable().position_of(UserId(9)), None);
+        drop(primary);
+        server.shutdown();
+    }
+
+    /// A pyramid that holds the apply of any move to `NEW` until a move
+    /// to `LAST` has applied or 200 ms have passed: the worst order in
+    /// which two commits that rode one flush can wake.
+    struct HoldsNew {
+        inner: Pyramid,
+        last_applied: Mutex<bool>,
+        applied: Condvar,
+    }
+
+    impl AnonymizerService for HoldsNew {
+        fn register(&self, uid: UserId, profile: Profile, pos: Point) -> MaintenanceStats {
+            self.inner.register(uid, profile, pos)
+        }
+        fn update_location(&self, uid: UserId, pos: Point) -> MaintenanceStats {
+            if pos == NEW {
+                let deadline = Instant::now() + Duration::from_millis(200);
+                let mut done = lock(&self.last_applied);
+                while !*done && Instant::now() < deadline {
+                    done = wait_timeout(&self.applied, done, deadline - Instant::now());
+                }
+            }
+            let stats = self.inner.update_location(uid, pos);
+            if pos == LAST {
+                *lock(&self.last_applied) = true;
+                self.applied.notify_all();
+            }
+            stats
+        }
+        fn update_profile(&self, uid: UserId, profile: Profile) -> MaintenanceStats {
+            self.inner.update_profile(uid, profile)
+        }
+        fn deregister(&self, uid: UserId) -> MaintenanceStats {
+            self.inner.deregister(uid)
+        }
+        fn cloak(&self, uid: UserId) -> Option<CloakedRegion> {
+            self.inner.cloak(uid)
+        }
+        fn position_of(&self, uid: UserId) -> Option<Point> {
+            self.inner.position_of(uid)
+        }
+        fn profile_of(&self, uid: UserId) -> Option<Profile> {
+            self.inner.profile_of(uid)
+        }
+        fn user_count(&self) -> usize {
+            self.inner.user_count()
+        }
+        fn user_ids(&self) -> Vec<UserId> {
+            self.inner.user_ids()
+        }
+    }
+
+    fn recover_holding(disk: &Arc<Probe>) -> Arc<DurableAnonymizer<HoldsNew, Probe>> {
+        let (d, _) = DurableAnonymizer::recover(
+            Arc::clone(disk),
+            DurabilityConfig {
+                checkpoint_every: None,
+            },
+            || HoldsNew {
+                inner: RwLock::new(AdaptivePyramid::new(6)),
+                last_applied: Mutex::new(false),
+                applied: Condvar::new(),
+            },
+        )
+        .unwrap();
+        Arc::new(d)
+    }
+
+    /// Moves user 1 to `NEW` and then to `LAST` through `commit`, both
+    /// logged while user 2's commit holds the flush, so the two ride the
+    /// next flush together; returns once all three have returned.
+    fn two_moves_on_one_flush(
+        disk: &Probe,
+        next_seq: &(dyn Fn() -> u64 + Sync),
+        commit: &(dyn Fn(UserId, Point) + Sync),
+    ) {
+        std::thread::scope(|scope| {
+            let latch = disk.hold();
+            let (entered, seq) = (disk.syncs(), next_seq());
+            scope.spawn(|| commit(UserId(2), OTHER));
+            assert!(eventually(|| disk.syncs() > entered), "no flush began");
+            scope.spawn(|| commit(UserId(1), NEW));
+            assert!(eventually(|| next_seq() == seq + 2));
+            scope.spawn(|| commit(UserId(1), LAST));
+            assert!(eventually(|| next_seq() == seq + 3));
+            drop(latch);
+        });
+    }
+
+    /// Recovery replays user 1's two moves in WAL order; the live
+    /// structure must have applied them in the same order.
+    fn assert_live_is_recovered(live: Option<Point>, disk: &Arc<Probe>) {
+        assert_eq!(live, Some(LAST), "the moves applied out of WAL order");
+        assert_eq!(recover_holding(disk).position_of(UserId(1)), live);
+    }
+
+    #[test]
+    fn same_user_commits_apply_in_wal_order() {
+        // The durable primary.
+        let disk = Arc::new(Probe::default());
+        let durable = recover_holding(&disk);
+        for uid in [1, 2] {
+            durable
+                .try_register(UserId(uid), Profile::new(1, 0.0), OLD)
+                .unwrap();
+        }
+        two_moves_on_one_flush(&disk, &|| durable.next_seq(), &|uid, pos| {
+            durable.try_update_location(uid, pos).unwrap();
+        });
+        let live = durable.position_of(UserId(1));
+        drop(durable);
+        assert_live_is_recovered(live, &disk);
+
+        // The replicated primary.
+        let cfg = patient_cfg(DurabilityMode::StandbyFsync);
+        let (server, _standby, standby_durable) = spawn_standby(&Arc::new(MemStorage::new()), cfg);
+        let disk = Arc::new(Probe::default());
+        let primary = ReplicatedAnonymizer::new(recover_holding(&disk), server.addr(), cfg);
+        for uid in [1, 2] {
+            let c = primary
+                .try_register(UserId(uid), Profile::new(1, 0.0), OLD)
+                .unwrap();
+            assert!(c.synced);
+        }
+        two_moves_on_one_flush(&disk, &|| primary.durable().next_seq(), &|uid, pos| {
+            assert!(primary.try_update_location(uid, pos).unwrap().synced);
+        });
+        let live = primary.position_of(UserId(1));
+        assert_eq!(standby_durable.position_of(UserId(1)), live);
+        drop(primary);
+        assert_live_is_recovered(live, &disk);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_primary_falls_silent() {
+        let cfg = fast_cfg(DurabilityMode::StandbyFsync);
+        let (server, standby, _) = spawn_standby(&Arc::new(MemStorage::new()), cfg);
+        let disk = Arc::new(Probe::default());
+        let primary = ReplicatedAnonymizer::new(recover(&disk), server.addr(), cfg);
+        let c = primary
+            .try_register(UserId(1), Profile::new(1, 0.0), OLD)
+            .unwrap();
+        assert!(c.synced);
+        // One failed fsync poisons the WAL: this node can accept no
+        // write again until it is restarted.
+        disk.fail_sync.store(true, Ordering::SeqCst);
+        assert!(primary.try_update_location(UserId(1), NEW).is_err());
+        disk.fail_sync.store(false, Ordering::SeqCst);
+        let poisoned = Instant::now();
+        assert!(
+            eventually(|| standby.is_promoted()),
+            "the poisoned primary kept heartbeating, so its standby never promoted"
+        );
+        assert!(
+            poisoned.elapsed() < 10 * cfg.heartbeat_timeout,
+            "promoted only after {:?}",
+            poisoned.elapsed()
+        );
+        assert!(primary.try_update_location(UserId(1), LAST).is_err());
         drop(primary);
         server.shutdown();
     }
