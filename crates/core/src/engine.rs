@@ -218,9 +218,34 @@ pub enum Response {
     },
 }
 
+/// The geometry check at the trust boundary: a cloaked region from the
+/// wire must be finite, have positive width and height (a zero-area
+/// region would publish an exact point, and a range count would take it
+/// as a definite member), and lie inside the unit square. Every cloak the
+/// trusted tier produces is a union of pyramid cells, so it passes; a
+/// region outside the space is refused rather than clamped, because
+/// clamping would store a region no anonymizer produced (DESIGN §8).
+fn checked_region(region: Rect) -> Result<Rect, &'static str> {
+    let Rect { min, max } = region;
+    let ok = region.is_finite()
+        && min.x < max.x
+        && min.y < max.y
+        && 0.0 <= min.x
+        && 0.0 <= min.y
+        && max.x <= 1.0
+        && max.y <= 1.0;
+    if ok {
+        Ok(region)
+    } else {
+        Err("cloaked region is non-finite, empty or outside the unit square")
+    }
+}
+
 impl Request {
     /// Decodes a wire [`Message`] into the request it stands for.
-    /// Client-bound messages are a protocol violation from a client.
+    /// Client-bound messages are a protocol violation from a client, and
+    /// so is a cloaked region that is non-finite, inverted, zero-area or
+    /// outside the unit square.
     pub fn from_wire(msg: Message) -> Result<Request, &'static str> {
         match msg {
             Message::CloakedUpdate {
@@ -230,11 +255,11 @@ impl Request {
             } => Ok(Request::UpsertRegion {
                 handle,
                 seq,
-                region,
+                region: checked_region(region)?,
             }),
             Message::CloakedQuery { pseudonym, region } => Ok(Request::NnCandidates {
                 pseudonym,
-                region,
+                region: checked_region(region)?,
                 filters: None,
                 category: None,
             }),
@@ -764,6 +789,47 @@ mod tests {
         // responses have no encoding.
         assert!(Request::from_wire(Message::Candidates(Vec::new())).is_err());
         assert!(Response::Done.into_wire().is_err());
+    }
+
+    #[test]
+    fn hostile_regions_are_refused_at_the_wire_boundary() {
+        let p = |x, y| Point::new(x, y);
+        let hostile = [
+            Rect::point(p(0.3, 0.3)),
+            Rect::from_coords(0.2, 0.4, 0.6, 0.4), // a segment
+            Rect {
+                min: p(0.6, 0.6),
+                max: p(0.4, 0.8),
+            }, // inverted
+            Rect {
+                min: p(f64::NAN, 0.1),
+                max: p(0.2, 0.2),
+            },
+            Rect::from_coords(0.1, 0.1, f64::INFINITY, 0.2),
+            Rect::from_coords(-1e300, -1e300, 1e300, 1e300),
+            Rect::from_coords(0.9, 0.9, 1.25, 1.0),
+        ];
+        for region in hostile {
+            let update = Message::CloakedUpdate {
+                handle: 1,
+                seq: 1,
+                region,
+            };
+            let query = Message::CloakedQuery {
+                pseudonym: 1,
+                region,
+            };
+            assert!(Request::from_wire(update).is_err(), "{region:?}");
+            assert!(Request::from_wire(query).is_err(), "{region:?}");
+        }
+        // The whole space and a cell on its corner pass.
+        for region in [Rect::unit(), Rect::from_coords(0.75, 0.0, 1.0, 0.25)] {
+            let query = Message::CloakedQuery {
+                pseudonym: 1,
+                region,
+            };
+            assert!(Request::from_wire(query).is_ok(), "{region:?}");
+        }
     }
 
     #[test]

@@ -25,13 +25,11 @@
 //! * regions are still grid-aligned cells of the *global* pyramid, so the
 //!   quality guarantee (no data-dependent boundaries) is unchanged.
 //!
-//! Shards can also fail. A quarantined shard
-//! ([`ShardedAnonymizer::quarantine_shard`]) keeps the system serving in a
-//! degraded mode: location updates touching it are parked in a bounded
-//! queue (drained by [`ShardedAnonymizer::restore_shard`]), and cloaks for
-//! its users escalate to the coordinator's coarse levels — coarser regions
-//! than usual, but still k-anonymous and still grid-aligned, so privacy is
-//! never traded for availability.
+//! A shard is not a failure domain of its own: it lives in the
+//! anonymizer's process and fails with it, and every acknowledged update
+//! is applied to its shard before the ack. Availability of the trusted
+//! tier is replication's job (a hot standby replaying the WAL, DESIGN.md
+//! §16), never a degraded mode in which updates wait outside the pyramid.
 //!
 //! # Lock discipline
 //!
@@ -45,9 +43,8 @@
 //! that catches a user mid-migration retries briefly and finally falls
 //! back to coordinator escalation, which needs no shard lock at all.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::RwLock;
 
 use casper_geometry::{Point, Rect};
 use casper_grid::{
@@ -55,7 +52,7 @@ use casper_grid::{
     MaintenanceStats, Profile, PyramidStructure, UserId,
 };
 
-use crate::sync::{lock, read, write};
+use crate::sync::{read, write};
 
 /// Stripes in the [`HomeTable`]; a power of two so a uid's stripe is a
 /// mask. 64 stripes keep concurrent lookups and migrations for
@@ -141,22 +138,7 @@ pub struct ShardedAnonymizer {
     /// with the shard pyramids. Escalated cloaks read these lock-free
     /// instead of touching any shard lock.
     populations: Vec<AtomicU32>,
-    /// Per-shard availability; quarantined shards serve nothing directly.
-    offline: Vec<AtomicBool>,
-    /// Location updates parked while their shard is quarantined, in
-    /// arrival order (bounded by `parked_cap`, oldest evicted first).
-    parked: Mutex<VecDeque<(UserId, Point)>>,
-    parked_cap: usize,
-    dropped_parked: AtomicU64,
-    /// Fault injection: per-shard artificial stall (µs) applied before
-    /// the shard lock is taken. Zero (the default) is a no-op. Lets
-    /// overload tests make one shard arbitrarily slow — without killing
-    /// it — to prove a stalled shard cannot drag down its siblings.
-    stalls: Vec<AtomicU64>,
 }
-
-/// Default bound on the parked-update queue of a [`ShardedAnonymizer`].
-pub const DEFAULT_PARKED_CAP: usize = 10_000;
 
 /// How often a cloak re-reads the home table when it catches its user
 /// mid-migration before falling back to coordinator escalation.
@@ -205,45 +187,12 @@ impl ShardedAnonymizer {
                 .collect(),
             homes: HomeTable::new(),
             populations: (0..shard_count).map(|_| AtomicU32::new(0)).collect(),
-            offline: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
-            parked: Mutex::new(VecDeque::new()),
-            parked_cap: DEFAULT_PARKED_CAP,
-            dropped_parked: AtomicU64::new(0),
-            stalls: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Fault injection: every subsequent operation that takes shard
-    /// `idx`'s lock first sleeps for `delay`. `Duration::ZERO` removes
-    /// the stall. Unlike [`ShardedAnonymizer::quarantine_shard`] the
-    /// shard stays *online* — this models a slow shard (lock convoy, GC
-    /// pause, noisy neighbour), the overload-control failure mode, not a
-    /// dead one.
-    pub fn set_shard_delay(&self, idx: usize, delay: std::time::Duration) {
-        self.stalls[idx].store(delay.as_micros() as u64, Ordering::Release);
-    }
-
-    /// Applies the injected stall for shard `idx`, if any.
-    fn stall(&self, idx: usize) {
-        let us = self.stalls[idx].load(Ordering::Acquire);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
-    }
-
-    /// Overrides the parked-update queue bound.
-    pub fn with_parked_cap(mut self, cap: usize) -> Self {
-        self.parked_cap = cap.max(1);
-        self
-    }
-
-    /// Refreshes the telemetry gauges for one shard after a mutation.
+    /// Refreshes the telemetry gauge for one shard after a mutation.
     fn tel_shard(&self, idx: usize) {
-        crate::tel::record_shard_state(
-            idx,
-            self.populations[idx].load(Ordering::Relaxed) as usize,
-            !self.offline[idx].load(Ordering::Relaxed),
-        );
+        crate::tel::record_shard_state(idx, self.populations[idx].load(Ordering::Relaxed) as usize);
     }
 
     /// Number of shards.
@@ -331,7 +280,6 @@ impl ShardedAnonymizer {
         let idx = self.shard_index(cell);
         let local = self.to_local(cell, pos);
         let lp = self.local_profile(cell, profile);
-        self.stall(idx as usize);
         let stats = write(&self.shards[idx as usize]).register(uid, lp, local);
         self.populations[idx as usize].fetch_add(1, Ordering::AcqRel);
         self.homes.insert(uid, (idx, profile));
@@ -350,18 +298,8 @@ impl ShardedAnonymizer {
         };
         let cell = self.shard_cell(pos);
         let idx = self.shard_index(cell);
-        // Degraded mode: if either the user's home shard or the shard she
-        // is moving into is quarantined, the update cannot be applied —
-        // park it (bounded) for [`ShardedAnonymizer::restore_shard`].
-        if self.offline[home as usize].load(Ordering::Acquire)
-            || self.offline[idx as usize].load(Ordering::Acquire)
-        {
-            self.park(uid, pos);
-            return MaintenanceStats::ZERO;
-        }
         let local = self.to_local(cell, pos);
         if idx == home {
-            self.stall(idx as usize);
             return write(&self.shards[idx as usize]).update_location(uid, local);
         }
         // Cross-shard migration: deregister + register (shards are
@@ -378,69 +316,6 @@ impl ShardedAnonymizer {
         self.tel_shard(home as usize);
         self.tel_shard(idx as usize);
         stats
-    }
-
-    fn park(&self, uid: UserId, pos: Point) {
-        let mut parked = lock(&self.parked);
-        if parked.len() >= self.parked_cap {
-            // Dropping the *oldest* update loses only freshness: the
-            // user's previous cloaked region remains valid and
-            // k-anonymous.
-            parked.pop_front();
-            self.dropped_parked.fetch_add(1, Ordering::Relaxed);
-            crate::tel::record_parked_drop();
-        }
-        parked.push_back((uid, pos));
-        crate::tel::record_parked(parked.len());
-    }
-
-    /// Marks a shard as failed. Its users keep getting (coarser) cloaks
-    /// via coordinator escalation; updates touching it are parked.
-    pub fn quarantine_shard(&self, idx: usize) {
-        self.offline[idx].store(true, Ordering::Release);
-        crate::tel::record_shard_transition(
-            idx,
-            self.populations[idx].load(Ordering::Relaxed) as usize,
-            false,
-        );
-    }
-
-    /// Brings a shard back and drains the parked queue, re-applying every
-    /// update whose shards are now online (others are re-parked). Returns
-    /// how many parked updates were applied.
-    pub fn restore_shard(&self, idx: usize) -> usize {
-        self.offline[idx].store(false, Ordering::Release);
-        crate::tel::record_shard_transition(
-            idx,
-            self.populations[idx].load(Ordering::Relaxed) as usize,
-            true,
-        );
-        let drained: Vec<(UserId, Point)> = {
-            let mut parked = lock(&self.parked);
-            parked.drain(..).collect()
-        };
-        let before = drained.len();
-        for (uid, pos) in drained {
-            self.update_location(uid, pos);
-        }
-        let still_parked = lock(&self.parked).len();
-        crate::tel::record_parked(still_parked);
-        before - still_parked
-    }
-
-    /// Whether shard `idx` is currently serving (not quarantined).
-    pub fn shard_online(&self, idx: usize) -> bool {
-        !self.offline[idx].load(Ordering::Acquire)
-    }
-
-    /// Location updates currently parked behind quarantined shards.
-    pub fn parked_updates(&self) -> usize {
-        lock(&self.parked).len()
-    }
-
-    /// Parked updates evicted from the bounded queue so far.
-    pub fn dropped_updates(&self) -> u64 {
-        self.dropped_parked.load(Ordering::Relaxed)
     }
 
     /// Changes a user's privacy profile.
@@ -473,6 +348,33 @@ impl ShardedAnonymizer {
         bottom_up_cloak(&top, profile, home_cell)
     }
 
+    /// The one local-or-escalate decision every cloak path makes. A
+    /// shard's answer `local` (Algorithm 1 in shard-local units, checked
+    /// against the shard-local profile) stands when it satisfies that
+    /// profile and the global `a_min` fits inside a shard at all; it is
+    /// then translated back to global coordinates. Otherwise the
+    /// coordinator climbs its top levels from the shard cell with the
+    /// original (global-units) profile.
+    fn local_or_escalate(
+        &self,
+        cell: CellId,
+        global_profile: Profile,
+        local_profile: Profile,
+        local: CloakedRegion,
+    ) -> CloakedRegion {
+        let globally_ok = global_profile.a_min <= cell.area() + 1e-15;
+        if globally_ok && local_profile.satisfied_by(local.user_count, local.area()) {
+            return CloakedRegion {
+                rect: self.to_global(cell, local.rect),
+                cells: Vec::new(), // shard-local ids are not global cells
+                user_count: local.user_count,
+                level: self.shard_level + local.level,
+                levels_climbed: local.levels_climbed,
+            };
+        }
+        self.escalate(cell, global_profile)
+    }
+
     /// Cloaks a registered user: local Algorithm 1 inside her shard, with
     /// coordinator escalation when the shard cannot satisfy the profile.
     pub fn cloak_user(&self, uid: UserId) -> Option<CloakedRegion> {
@@ -484,18 +386,7 @@ impl ShardedAnonymizer {
         // a global grid cell).
         for _ in 0..MIGRATION_RETRIES {
             let (home, global_profile) = lookup;
-            let cell = self.cell_of_shard(home);
-            if self.offline[home as usize].load(Ordering::Acquire) {
-                // Degraded mode: the home shard cannot answer, but the
-                // coordinator knows its population and the user's home
-                // cell, so it escalates directly — a coarser region than
-                // the shard would give, yet still grid-aligned and still
-                // covering ≥ k real users. Availability degrades; privacy
-                // does not.
-                return Some(self.escalate(cell, global_profile));
-            }
             let local_answer = {
-                self.stall(home as usize);
                 // The shard-lock acquisition and the pyramid walk are the
                 // two hot-path waits worth seeing separately in a trace.
                 let shard = crate::tel::with_lock_wait_span(home as usize, || {
@@ -515,23 +406,8 @@ impl ShardedAnonymizer {
                 lookup = self.homes.get(uid)?;
                 continue;
             };
-            // The local check uses shard-local units; additionally the
-            // global a_min must be reachable inside the shard at all.
-            let globally_ok = global_profile.a_min <= cell.area() + 1e-15;
-            if globally_ok && local_profile.satisfied_by(local.user_count, local.area()) {
-                // Satisfied locally: translate back to global coordinates.
-                let rect = self.to_global(cell, local.rect);
-                return Some(CloakedRegion {
-                    rect,
-                    cells: Vec::new(), // shard-local ids are not global cells
-                    user_count: local.user_count,
-                    level: self.shard_level + local.level,
-                    levels_climbed: local.levels_climbed,
-                });
-            }
-            // Escalate: climb the coordinator's top levels from the shard
-            // cell, with the original (global-units) profile.
-            return Some(self.escalate(cell, global_profile));
+            let cell = self.cell_of_shard(home);
+            return Some(self.local_or_escalate(cell, global_profile, local_profile, local));
         }
         // The user kept migrating under us; answer from the coordinator
         // tier, anchored at her latest home cell.
@@ -562,15 +438,6 @@ impl ShardedAnonymizer {
         let mut retries: Vec<usize> = Vec::new();
         for (home, members) in groups {
             let cell = self.cell_of_shard(home);
-            if self.offline[home as usize].load(Ordering::Acquire) {
-                // Degraded mode, exactly as in the single-user path: the
-                // coordinator escalates from the home cell, lock-free.
-                for &(slot, profile) in &members {
-                    out[slot] = Some(self.escalate(cell, profile));
-                }
-                continue;
-            }
-            self.stall(home as usize);
             let shard = crate::tel::with_lock_wait_span(home as usize, || {
                 read(&self.shards[home as usize])
             });
@@ -585,20 +452,9 @@ impl ShardedAnonymizer {
                 let (slot, global_profile) = members[i];
                 match result {
                     Some((local_profile, local)) => {
-                        let globally_ok = global_profile.a_min <= cell.area() + 1e-15;
-                        out[slot] = if globally_ok
-                            && local_profile.satisfied_by(local.user_count, local.area())
-                        {
-                            Some(CloakedRegion {
-                                rect: self.to_global(cell, local.rect),
-                                cells: Vec::new(), // shard-local ids are not global cells
-                                user_count: local.user_count,
-                                level: self.shard_level + local.level,
-                                levels_climbed: local.levels_climbed,
-                            })
-                        } else {
-                            Some(self.escalate(cell, global_profile))
-                        };
+                        let region =
+                            self.local_or_escalate(cell, global_profile, local_profile, local);
+                        out[slot] = Some(region);
                     }
                     // Mid-migration under a concurrent writer: retried
                     // below, once this group's shard lock is dropped.
@@ -706,22 +562,9 @@ impl PyramidStructure for ShardedAnonymizer {
         let pos = sanitize_position(pos).unwrap_or(Point::new(0.5, 0.5));
         let cell = self.shard_cell(pos);
         let idx = self.shard_index(cell) as usize;
-        if !self.offline[idx].load(Ordering::Acquire) {
-            let local = self.to_local(cell, pos);
-            let lp = self.local_profile(cell, profile);
-            let region = read(&self.shards[idx]).cloak_point(local, lp);
-            let globally_ok = profile.a_min <= cell.area() + 1e-15;
-            if globally_ok && lp.satisfied_by(region.user_count, region.area()) {
-                return CloakedRegion {
-                    rect: self.to_global(cell, region.rect),
-                    cells: Vec::new(),
-                    user_count: region.user_count,
-                    level: self.shard_level + region.level,
-                    levels_climbed: region.levels_climbed,
-                };
-            }
-        }
-        self.escalate(cell, profile)
+        let lp = self.local_profile(cell, profile);
+        let region = read(&self.shards[idx]).cloak_point(self.to_local(cell, pos), lp);
+        self.local_or_escalate(cell, profile, lp, region)
     }
 
     fn position_of(&self, uid: UserId) -> Option<Point> {
@@ -925,88 +768,41 @@ mod tests {
         }
     }
 
+    /// Shard isolation, shown by a held lock rather than a clock: while
+    /// this thread holds shard 0's write guard, another thread registers,
+    /// moves and cloaks a user homed in shard 3. An operation that took
+    /// shard 0's lock (or one lock over every shard) would wait for the
+    /// guard, and the channel below would time out.
     #[test]
-    fn quarantined_shard_parks_updates_and_restores() {
+    fn a_held_shard_lock_does_not_block_a_sibling_shard() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
         let s = ShardedAnonymizer::new(7, 1); // 4 shards
-        for i in 0..10u64 {
-            s.register(
-                uid(i),
-                Profile::new(2, 0.0),
-                Point::new(0.1 + i as f64 * 1e-3, 0.1), // all in shard 0
-            );
-        }
-        s.register(uid(100), Profile::new(1, 0.0), Point::new(0.9, 0.9));
-        s.quarantine_shard(0);
-        assert!(!s.shard_online(0));
-        // Updates touching the dead shard park instead of mutating it.
-        s.update_location(uid(0), Point::new(0.15, 0.15));
-        // A migration *out of* the dead shard parks too (the home copy is
-        // unreachable).
-        s.update_location(uid(1), Point::new(0.9, 0.8));
-        assert_eq!(s.parked_updates(), 2);
-        assert_eq!(s.shard_population(0), 10, "quarantined shard untouched");
-        // Users elsewhere are unaffected: their updates apply, not park.
-        s.update_location(uid(100), Point::new(0.85, 0.85));
-        assert_eq!(s.parked_updates(), 2);
-        let r = s.cloak_user(uid(100)).unwrap();
-        assert!(r.rect.contains(Point::new(0.85, 0.85)));
-        // Restore: parked updates drain and apply.
-        let applied = s.restore_shard(0);
-        assert_eq!(applied, 2);
-        assert_eq!(s.parked_updates(), 0);
-        assert_eq!(s.shard_population(0), 9, "user 1 migrated out on drain");
-        assert_eq!(s.shard_population(3), 2);
-        let region = s.cloak_user(uid(1)).unwrap();
-        assert!(region.rect.contains(Point::new(0.9, 0.8)));
-    }
-
-    #[test]
-    fn quarantined_shard_still_cloaks_with_k_anonymity() {
-        let s = ShardedAnonymizer::new(7, 1);
-        for i in 0..10u64 {
-            s.register(
-                uid(i),
-                Profile::new(5, 0.0),
-                Point::new(0.1 + i as f64 * 1e-3, 0.1),
-            );
-        }
-        let normal = s.cloak_user(uid(0)).unwrap();
-        s.quarantine_shard(0);
-        let degraded = s.cloak_user(uid(0)).unwrap();
-        // Still an answer, still containing the user, still ≥ k users —
-        // just coarser (a coordinator-level cell).
-        assert!(degraded.rect.contains(Point::new(0.1, 0.1)));
-        assert!(degraded.user_count >= 5);
-        assert!(degraded.level <= 1, "escalated to the coordinator's cells");
-        assert!(
-            degraded.area() >= normal.area(),
-            "degraded cloak can only be coarser"
-        );
-    }
-
-    #[test]
-    fn parked_queue_is_bounded_drop_oldest() {
-        let s = ShardedAnonymizer::new(7, 1).with_parked_cap(3);
-        for i in 0..5u64 {
-            s.register(
-                uid(i),
-                Profile::new(1, 0.0),
-                Point::new(0.1 + i as f64 * 1e-2, 0.1),
-            );
-        }
-        s.quarantine_shard(0);
-        for i in 0..5u64 {
-            s.update_location(uid(i), Point::new(0.2, 0.2 + i as f64 * 1e-2));
-        }
-        assert_eq!(s.parked_updates(), 3);
-        assert_eq!(s.dropped_updates(), 2);
-        // The survivors are the *newest* updates.
-        let applied = s.restore_shard(0);
-        assert_eq!(applied, 3);
-        for i in 2..5u64 {
-            let region = s.cloak_user(uid(i)).unwrap();
-            assert!(region.rect.contains(Point::new(0.2, 0.2 + i as f64 * 1e-2)));
-        }
+        let (start, moved) = (Point::new(0.9, 0.9), Point::new(0.8, 0.7));
+        assert_eq!((s.shard_of(start), s.shard_of(moved)), (3, 3));
+        std::thread::scope(|scope| {
+            let held = write(&s.shards[0]);
+            let (tx, rx) = mpsc::channel();
+            let s = &s;
+            scope.spawn(move || {
+                s.register(uid(1), Profile::new(1, 0.0), start);
+                s.update_location(uid(1), moved);
+                let single = s.cloak_user(uid(1));
+                let batch = s.cloak_users(&[uid(1)]).pop().flatten();
+                let _ = tx.send((single, batch));
+            });
+            let (single, batch) = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("shard 3's operations waited for shard 0's lock");
+            drop(held);
+            for region in [single, batch] {
+                let region = region.expect("a registered user cloaks");
+                assert!(region.rect.contains(moved));
+                assert!(CellId::new(1, 1, 1).rect().contains_rect(&region.rect));
+            }
+        });
+        assert_eq!(s.shard_population(3), 1);
     }
 
     #[test]

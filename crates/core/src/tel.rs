@@ -3,10 +3,10 @@
 //! Each probe caches its registry handle in a `OnceLock`, so the hot
 //! paths (frame serving, retries, pipeline stages) pay only relaxed
 //! atomic operations after the first observation. State transitions — a
-//! shard quarantine or restore, a recovery, a promotion, a server boot-id
-//! change — are filed as flagged spans in [`casper_telemetry::spans`]
-//! ([`record_transition`]), under the trace that caused them when one is
-//! current, so they can be reconstructed after the fact from `/flight`.
+//! recovery, a promotion, a server boot-id change — are filed as flagged
+//! spans in [`casper_telemetry::spans`] ([`record_transition`]), under
+//! the trace that caused them when one is current, so they can be
+//! reconstructed after the fact from `/flight`.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -350,60 +350,15 @@ pub(crate) fn record_breaker(event: &'static str) {
 // ---------------------------------------------------------------------
 // Sharded anonymizer.
 
-/// Refreshes the per-shard load/online gauges.
-pub(crate) fn record_shard_state(shard: usize, users: usize, online: bool) {
-    let shard_label = shard_label(shard);
+/// Refreshes the per-shard load gauge.
+pub(crate) fn record_shard_state(shard: usize, users: usize) {
     registry()
         .gauge_with(
             "casper_shard_users",
             "Registered users per anonymizer shard",
-            &[("shard", shard_label)],
+            &[("shard", shard_label(shard))],
         )
         .set(users as i64);
-    registry()
-        .gauge_with(
-            "casper_shard_online",
-            "Shard availability (1 = serving, 0 = quarantined)",
-            &[("shard", shard_label)],
-        )
-        .set(i64::from(online));
-}
-
-/// Records a quarantine/restore transition: gauge flip + transition span.
-pub(crate) fn record_shard_transition(shard: usize, users: usize, online: bool) {
-    record_shard_state(shard, users, online);
-    cached_counter!(
-        "casper_shard_transitions_total",
-        "Shard quarantine/restore transitions"
-    )
-    .inc();
-    record_transition(
-        "shard",
-        if online { "restore" } else { "quarantine" },
-        Duration::ZERO,
-        format!("shard {shard}, {users} users affected"),
-    );
-}
-
-/// Updates the parked-user gauge (users waiting for a shard to return).
-pub(crate) fn record_parked(parked: usize) {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        registry().gauge(
-            "casper_shard_parked_users",
-            "User updates parked while their home shard is quarantined",
-        )
-    })
-    .set(parked as i64);
-}
-
-/// Counts a parked update dropped because the parking buffer was full.
-pub(crate) fn record_parked_drop() {
-    cached_counter!(
-        "casper_shard_parked_dropped_total",
-        "Parked user updates evicted because the parking buffer was full"
-    )
-    .inc();
 }
 
 /// Leak-free label strings for small shard indexes ("0".."63" are

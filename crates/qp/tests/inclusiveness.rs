@@ -77,19 +77,72 @@ fn pos_in(region: Rect, u: f64, v: f64) -> Point {
     )
 }
 
+/// A draw in which Algorithm 2's middle point is the binding distance on
+/// one edge of the region. Two targets sit `h` straight out from the
+/// edge's corners, so each corner's 4-filter is `h` away, while the
+/// edge's middle point is `hypot(L/2, h)` from both. A third target,
+/// straight out from the middle point at a depth between those two, is
+/// the exact NN of a user standing on the middle point, and only the
+/// middle-point distance extends `A_EXT` far enough to reach it.
+fn binding_middle_point(rng: &mut StdRng) -> (Vec<Point>, Rect, Point) {
+    let reg = region(rng);
+    let (side, edge) = reg.edges()[rng.gen_range(0..4usize)];
+    let (nx, ny) = side.outward_normal();
+    let out = |p: Point, d: f64| p.translate(nx * d, ny * d);
+    let half = edge.a.dist(edge.b) / 2.0;
+    let h = half * rng.gen_range(0.2..2.0);
+    let depth = h + rng.gen_range(0.1..0.9) * (half.hypot(h) - h);
+    let m = edge.a.midpoint(edge.b);
+    (vec![out(edge.a, h), out(edge.b, h), out(m, depth)], reg, m)
+}
+
+/// Whether the exact NN of `user` lies outside the `A_EXT` that
+/// Algorithm 2 with 4 filters would build if every middle-point distance
+/// were zero (each side pushed out by the larger of its two corners'
+/// nearest-target distances): the cases only the middle point keeps
+/// inclusive.
+fn middle_point_binds(targets: &[Point], reg: &Rect, user: Point) -> bool {
+    let nearest = |p: Point| {
+        targets
+            .iter()
+            .map(|t| t.dist(p))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let corners = reg.corners();
+    let mut zeroed = *reg;
+    for (idx, (side, _)) in reg.edges().into_iter().enumerate() {
+        let d = nearest(corners[idx]).max(nearest(corners[(idx + 1) % 4]));
+        zeroed = zeroed.expand_side(side, d);
+    }
+    let exact_nn = targets
+        .iter()
+        .min_by(|a, b| a.dist(user).total_cmp(&b.dist(user)))
+        .expect("at least one target");
+    !zeroed.contains(*exact_nn)
+}
+
+/// Half the cases are random; the other half are drawn by
+/// [`binding_middle_point`], and the share of cases in which the middle
+/// point binds is counted and must stay at least a quarter.
 #[test]
 fn theorem_1_inclusive_for_all_filter_counts() {
+    let mut binding = 0u64;
     check(CASES, |rng| {
-        let targets = points(rng, 1..60);
-        let reg = region(rng);
-        let (u, v) = (rng.gen_range(0.0..=1.0), rng.gen_range(0.0..=1.0));
+        let (targets, reg, user) = if rng.gen_bool(0.5) {
+            binding_middle_point(rng)
+        } else {
+            let targets = points(rng, 1..60);
+            let reg = region(rng);
+            let (u, v) = (rng.gen_range(0.0..=1.0), rng.gen_range(0.0..=1.0));
+            (targets, reg, pos_in(reg, u, v))
+        };
+        binding += u64::from(middle_point_binds(&targets, &reg, user));
         let entries: Vec<Entry> = targets
             .iter()
             .enumerate()
             .map(|(i, &p)| Entry::point(ObjectId(i as u64), p))
             .collect();
         let idx = BruteForce::from_entries(entries.iter().copied());
-        let user = pos_in(reg, u, v);
         // The exact NN distance over all targets.
         let exact = targets
             .iter()
@@ -111,6 +164,10 @@ fn theorem_1_inclusive_for_all_filter_counts() {
             );
         }
     });
+    assert!(
+        binding * 4 >= CASES,
+        "the middle point bound only {binding} of {CASES} cases"
+    );
 }
 
 #[test]

@@ -16,9 +16,8 @@
 //!   (parent/child links, monotonic timestamps), head-sampled with
 //!   tail-keep of slow, shed, or degraded traces, exportable as Chrome
 //!   trace-event JSON ([`chrome_trace_json`]). Degraded queries and state
-//!   transitions (shard quarantine, recovery, promotion, a server
-//!   restart) are flagged spans, so they are kept at any sample rate
-//!   but 0.
+//!   transitions (recovery, promotion, a server restart) are flagged
+//!   spans, so they are kept at any sample rate but 0.
 //! * [`AuditLog`] / [`PrivacyAuditor`] — the privacy audit plane: one
 //!   [`AuditRecord`] per cloak decision, replayable after a run to prove
 //!   zero `(k, A_min)` violations.

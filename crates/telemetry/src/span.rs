@@ -7,9 +7,9 @@
 //! stage of that request (a client retry attempt, a server frame,
 //! a shard lock wait, the WAL group-commit fsync, ...) and records its
 //! parent, so the spans of one trace assemble into a tree that attributes
-//! the request's latency stage by stage. State transitions (a shard
-//! quarantine, a recovery, a promotion, a server restart seen by a
-//! client) are spans too: flagged, so tail-keep retains them.
+//! the request's latency stage by stage. State transitions (a
+//! recovery, a promotion, a server restart seen by a client) are spans
+//! too: flagged, so tail-keep retains them.
 //!
 //! # Propagation model
 //!

@@ -4,8 +4,7 @@
 //! Eight owner threads hammer one shared [`ShardedAnonymizer`] and one
 //! shared [`ServerPlane`] — the serving path the TCP server's reactors
 //! and the benchmark's drivers take, minus the socket — with interleaved
-//! register / update / cloak / query commands while a chaos thread
-//! quarantines and restores a shard mid-run. Every cloaked region that
+//! register / update / cloak / query commands. Every cloaked region that
 //! comes back is re-checked for the paper's guarantees:
 //!
 //! * **k-anonymity** — `user_count >= k` (Section 5, Algorithm 1);
@@ -14,17 +13,11 @@
 //!   its coordinates are integral multiples of `1/2^level`;
 //! * **containment** — the region covers the user's exact position.
 //!
-//! Containment is only asserted in *stable* windows: a shared epoch
-//! counter is odd while a quarantine/restore cycle is in flight (parked
-//! updates make positions intentionally stale then), and an owner only
-//! re-checks containment when the epoch was even and unchanged across
-//! its whole update→cloak→re-read sequence. The first three guarantees
-//! are unconditional — degraded mode may coarsen regions, never shrink
-//! them below the profile.
+//! All four hold on every iteration: an update is applied to its shard
+//! before it returns, so the owner's next cloak is taken from where the
+//! user really is.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use casper::core::engine::ServerPlane;
 use casper::prelude::*;
@@ -36,7 +29,6 @@ const OWNERS: usize = 8;
 const UIDS_PER_OWNER: u64 = 40;
 const ITERS: usize = 120;
 const BACKGROUND: u64 = 64;
-const CHAOS_CYCLES: usize = 3;
 
 /// A cloaked region is a union of one or two same-level pyramid cells,
 /// so all four coordinates must sit on the level's grid lines.
@@ -113,7 +105,7 @@ fn acked(resp: &Response) -> bool {
 }
 
 #[test]
-fn eight_threads_with_shard_chaos_keep_every_guarantee() {
+fn eight_threads_keep_every_guarantee() {
     let engine = Arc::new(Deployment::new());
 
     let mut rng = StdRng::seed_from_u64(11);
@@ -123,7 +115,7 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
         .load_public_targets((0..400u64).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
 
     // Background population spread over the space so small k values are
-    // always satisfiable even while one shard is quarantined.
+    // always satisfiable.
     for i in 0..BACKGROUND {
         let resp = engine.register(
             UserId(1_000_000 + i),
@@ -133,14 +125,9 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
         assert!(acked(&resp));
     }
 
-    // Even = no quarantine in flight; odd = a cycle is running. Owners
-    // read it around each op to decide whether containment is checkable.
-    let epoch = Arc::new(AtomicU64::new(0));
-
     let mut owners = Vec::new();
     for t in 0..OWNERS {
         let engine = Arc::clone(&engine);
-        let epoch = Arc::clone(&epoch);
         owners.push(std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(40 + t as u64);
             let base = t as u64 * UIDS_PER_OWNER;
@@ -157,8 +144,6 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
 
             for i in 0..ITERS {
                 let uid = UserId(base + rng.gen_range(0..UIDS_PER_OWNER));
-                let e_before = epoch.load(Ordering::SeqCst);
-
                 let pos = Point::new(rng.gen(), rng.gen());
                 let resp = engine.update(uid, pos);
                 assert!(acked(&resp));
@@ -186,17 +171,18 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
                     region.level
                 );
 
-                let e_after = epoch.load(Ordering::SeqCst);
-                if e_before == e_after && e_before.is_multiple_of(2) {
-                    // Stable window: no parked updates can make this uid's
-                    // position stale, so the region must cover it.
-                    let p = engine.anonymizer.position_of(uid).expect("position");
-                    assert!(
-                        region.rect.contains(p),
-                        "owner {t} iter {i}: stable-window region {:?} misses {p:?}",
-                        region.rect
-                    );
-                }
+                // Only this owner moves `uid`, so its position is the one
+                // just written, and the region must cover it.
+                let p = engine.anonymizer.position_of(uid).expect("position");
+                assert!(
+                    p.dist(pos) < 1e-12,
+                    "owner {t} iter {i}: the update to {pos:?} was not applied ({p:?})"
+                );
+                assert!(
+                    region.rect.contains(p),
+                    "owner {t} iter {i}: region {:?} misses {p:?}",
+                    region.rect
+                );
 
                 if i % 10 == 0 {
                     let exact = engine.query(uid, (t * ITERS + i) as u64);
@@ -209,31 +195,11 @@ fn eight_threads_with_shard_chaos_keep_every_guarantee() {
         }));
     }
 
-    // Chaos thread: mid-run quarantine/restore cycles on shard 0.
-    let chaos = {
-        let engine = Arc::clone(&engine);
-        let epoch = Arc::clone(&epoch);
-        std::thread::spawn(move || {
-            for _ in 0..CHAOS_CYCLES {
-                std::thread::sleep(Duration::from_millis(20));
-                epoch.fetch_add(1, Ordering::SeqCst); // odd: cycle running
-                engine.anonymizer.quarantine_shard(0);
-                assert!(!engine.anonymizer.shard_online(0));
-                std::thread::sleep(Duration::from_millis(15));
-                engine.anonymizer.restore_shard(0);
-                epoch.fetch_add(1, Ordering::SeqCst); // even: drained, stable
-            }
-        })
-    };
-
     for owner in owners {
         owner.join().expect("owner thread panicked");
     }
-    chaos.join().expect("chaos thread panicked");
-    assert!(engine.anonymizer.shard_online(0));
-    assert_eq!(epoch.load(Ordering::SeqCst), 2 * CHAOS_CYCLES as u64);
 
-    // Population conserved across every migration, park and drain.
+    // Population conserved across every migration.
     let expected = BACKGROUND as usize + OWNERS * UIDS_PER_OWNER as usize;
     assert_eq!(engine.anonymizer.user_count(), expected);
     let total: usize = (0..engine.anonymizer.shard_count())

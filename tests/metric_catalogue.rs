@@ -90,8 +90,11 @@ fn catalogue_names() -> BTreeSet<String> {
 #[test]
 fn shorthand_expands_alternatives_and_drops_labels() {
     assert_eq!(
-        expand("casper_shard_{users,online}{shard}"),
-        ["casper_shard_users", "casper_shard_online"]
+        expand("casper_queries_{answered,degraded}_total{tier}"),
+        [
+            "casper_queries_answered_total",
+            "casper_queries_degraded_total"
+        ]
     );
     assert_eq!(
         expand("casper_wal_{flushes,bytes}_total"),

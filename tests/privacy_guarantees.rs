@@ -156,6 +156,50 @@ fn server_side_regions_never_degenerate_to_points() {
     assert!(region.contains(Point::new(0.123_456, 0.654_321)));
 }
 
+/// Nor can a peer publish one over the wire: a zero-area region (an
+/// exact point) or one far outside the space, sent as a raw frame to a
+/// live server, is refused with a protocol error, stored nowhere, and
+/// counted by no range query, and the server keeps serving.
+#[test]
+fn hostile_regions_from_the_wire_are_refused_not_stored() {
+    use casper::core::codec::encode_frame;
+    use casper::core::wire::{encode, Message};
+    use casper::core::{NetworkClient, NetworkServer};
+    use std::io::{Read as _, Write as _};
+    use std::time::Duration;
+
+    let server = NetworkServer::spawn(CasperServer::new(), FilterCount::Four).unwrap();
+    let hostile = [
+        Rect::point(Point::new(0.123_456, 0.654_321)),
+        Rect::from_coords(-1e300, -1e300, 1e300, 1e300),
+    ];
+    for (handle, region) in hostile.into_iter().enumerate() {
+        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let frame = encode_frame(&encode(&Message::CloakedUpdate {
+            handle: handle as u64,
+            seq: 1,
+            region,
+        }));
+        raw.write_all(&frame).unwrap();
+        // An accepted update is acknowledged; a refused one closes the
+        // connection without a reply.
+        let mut reply = [0u8; 1];
+        let read = raw.read(&mut reply).unwrap_or(0);
+        assert_eq!(read, 0, "the server acknowledged {region:?}");
+    }
+    assert_eq!(server.stats().protocol_errors, hostile.len() as u64);
+    assert_eq!(server.with_server(|s| s.private_count()), 0);
+    let counted = server.with_server(|s| s.range_private(&Rect::unit()));
+    assert_eq!((counted.definite, counted.overlapping.len()), (0, 0));
+    // The server still serves a well-behaved client.
+    let mut client = NetworkClient::connect(server.addr()).unwrap();
+    assert!(client
+        .query_nn(1, Rect::from_coords(0.4, 0.4, 0.6, 0.6))
+        .is_ok());
+    server.shutdown();
+}
+
 #[test]
 fn adaptive_structure_gives_the_same_guarantees() {
     let mut rng = StdRng::seed_from_u64(6);

@@ -71,89 +71,6 @@ fn sharded_and_single_node_regions_both_satisfy_same_profiles() {
     }
 }
 
-/// Registers `n` users on a deterministic grid and returns, per shard,
-/// the uids homed there. Every user gets the same small profile so
-/// sibling cloaks never need cross-shard escalation.
-fn populate_shards(sharded: &ShardedAnonymizer, n: u64) -> (Vec<Vec<u64>>, Vec<Point>) {
-    let mut homes: Vec<Vec<u64>> = vec![Vec::new(); sharded.shard_count()];
-    let mut positions = Vec::with_capacity(n as usize);
-    let side = (n as f64).sqrt().ceil() as u64;
-    for uid in 0..n {
-        let pos = Point::new(
-            (uid % side) as f64 / side as f64 + 0.5 / side as f64,
-            (uid / side) as f64 / side as f64 + 0.5 / side as f64,
-        );
-        sharded.register(UserId(uid), Profile::new(2, 0.0), pos);
-        homes[sharded.shard_of(pos)].push(uid);
-        positions.push(pos);
-    }
-    (homes, positions)
-}
-
-/// Satellite of the overload work: one shard stalled hard must not
-/// block the seven sibling threads — per-shard locking keeps slow
-/// shards' pain local, so one slow shard cannot hold the wire path's
-/// reactors hostage for users elsewhere.
-#[test]
-fn storm_with_stalled_shard_does_not_block_siblings() {
-    use std::time::{Duration, Instant};
-
-    let sharded = ShardedAnonymizer::new(8, 2); // 16 shards
-    let (homes, positions) = populate_shards(&sharded, 320);
-
-    let stalled = sharded.shard_of(Point::new(0.03, 0.03));
-    assert!(
-        !homes[stalled].is_empty(),
-        "stalled shard must be populated"
-    );
-    sharded.set_shard_delay(stalled, Duration::from_millis(2));
-
-    std::thread::scope(|s| {
-        // One thread hammers the stalled shard; it alone eats the delay.
-        let slow_uids = &homes[stalled];
-        let sharded_ref = &sharded;
-        let positions = &positions;
-        s.spawn(move || {
-            for i in 0..100usize {
-                let uid = slow_uids[i % slow_uids.len()];
-                sharded_ref.update_location(UserId(uid), positions[uid as usize]);
-            }
-        });
-        // Seven sibling threads, each pinned to a non-stalled shard,
-        // must finish in interactive time despite the neighbour's stall.
-        let sibling_shards: Vec<usize> = (0..sharded.shard_count())
-            .filter(|&i| i != stalled && !homes[i].is_empty())
-            .take(7)
-            .collect();
-        let mut handles = Vec::new();
-        for &shard in &sibling_shards {
-            let uids = &homes[shard];
-            handles.push(s.spawn(move || {
-                let start = Instant::now();
-                for i in 0..200usize {
-                    let uid = uids[i % uids.len()];
-                    sharded_ref.update_location(UserId(uid), positions[uid as usize]);
-                    let region = sharded_ref
-                        .cloak_user(UserId(uid))
-                        .expect("sibling cloak must succeed during the stall");
-                    assert!(region.user_count >= 2, "sibling broke k during stall");
-                }
-                start.elapsed()
-            }));
-        }
-        for h in handles {
-            let elapsed = h.join().expect("sibling thread panicked");
-            assert!(
-                elapsed < Duration::from_secs(2),
-                "sibling thread took {elapsed:?}: stalled shard is blocking siblings"
-            );
-        }
-    });
-    sharded.set_shard_delay(stalled, Duration::ZERO);
-    assert_eq!(sharded.user_count(), 320);
-    sharded.check_invariants().unwrap();
-}
-
 /// An outage loses no registered user: every cloak the client could not
 /// deliver stays owed (no cap, no expiry), a user who moves during the
 /// outage is owed only their newest region, and everything owed reaches
@@ -228,71 +145,6 @@ fn an_outage_loses_no_registered_user() {
         "user 5 must hold its current cloak"
     );
     server.shutdown();
-}
-
-/// Quarantining a shard mid-storm parks its updates without blocking
-/// sibling shards, and restore replays the parked work.
-#[test]
-fn quarantine_during_storm_parks_without_blocking_siblings() {
-    use std::time::Duration;
-
-    let sharded = ShardedAnonymizer::new(8, 2); // 16 shards
-    let (homes, positions) = populate_shards(&sharded, 320);
-    let quarantined = sharded.shard_of(Point::new(0.97, 0.97));
-    assert!(!homes[quarantined].is_empty());
-
-    std::thread::scope(|s| {
-        let sharded_ref = &sharded;
-        let positions = &positions;
-        // Two threads hammer the soon-to-be-quarantined shard's users.
-        for t in 0..2usize {
-            let uids = &homes[quarantined];
-            s.spawn(move || {
-                for i in 0..300usize {
-                    let uid = uids[(i + t) % uids.len()];
-                    sharded_ref.update_location(UserId(uid), positions[uid as usize]);
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            });
-        }
-        // Six threads serve sibling shards and must stay fully correct.
-        let siblings: Vec<usize> = (0..sharded.shard_count())
-            .filter(|&i| i != quarantined && !homes[i].is_empty())
-            .take(6)
-            .collect();
-        for &shard in &siblings {
-            let uids = &homes[shard];
-            s.spawn(move || {
-                for i in 0..200usize {
-                    let uid = uids[i % uids.len()];
-                    sharded_ref.update_location(UserId(uid), positions[uid as usize]);
-                    let region = sharded_ref
-                        .cloak_user(UserId(uid))
-                        .expect("sibling cloak must succeed during quarantine");
-                    assert!(region.user_count >= 2);
-                }
-            });
-        }
-        // Mid-storm: take the shard offline. Its updates park from here.
-        std::thread::sleep(Duration::from_millis(5));
-        sharded.quarantine_shard(quarantined);
-        assert!(!sharded.shard_online(quarantined));
-    });
-
-    assert!(
-        sharded.parked_updates() > 0,
-        "quarantined shard saw updates: they must have parked"
-    );
-    let replayed = sharded.restore_shard(quarantined);
-    assert!(sharded.shard_online(quarantined));
-    assert!(replayed > 0, "restore must replay the parked updates");
-    assert_eq!(sharded.user_count(), 320);
-    sharded.check_invariants().unwrap();
-    // Quarantine refused/parked work; it never corrupted the population.
-    for &uid in &homes[quarantined] {
-        let region = sharded.cloak_user(UserId(uid)).unwrap();
-        assert!(region.user_count >= 2);
-    }
 }
 
 #[test]
