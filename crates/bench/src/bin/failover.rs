@@ -70,7 +70,6 @@ fn repl_cfg() -> ReplicationConfig {
         connect_timeout: Duration::from_millis(100),
         io_timeout: Duration::from_millis(50),
         reconnect_backoff: Duration::from_millis(5),
-        max_batch: 4096,
     }
 }
 

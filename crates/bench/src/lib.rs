@@ -1,12 +1,12 @@
 //! Benchmark harness for the Casper reproduction.
 //!
-//! Two entry points share the workload builders in [`workload`]:
-//!
-//! * the `figures` binary (`cargo run -p casper-bench --release --bin
-//!   figures -- all`) regenerates every figure of the paper's Section 6 as
-//!   a text table — see [`figures`];
-//! * the Criterion benches (`cargo bench`) measure the individual
-//!   operations each figure is built from.
+//! The `figures` binary (`cargo run -p casper-bench --release --bin
+//! figures -- all`) regenerates every figure of the paper's Section 6 as
+//! a text table from the workload builders in [`workload`] — see
+//! [`figures`]. The other binaries measure the subsystems beyond the
+//! paper (`recovery`, `qp_cache`, `failover`, `overload` and
+//! `trace_overhead` write the `BENCH_*.json` artifacts) or audit a
+//! cloaking log (`privacy_audit`).
 //!
 //! Experiment scale: the paper uses up to 50K users and 10K targets. The
 //! figure harness defaults to a reduced scale so `figures all` finishes in

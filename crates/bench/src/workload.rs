@@ -1,5 +1,5 @@
-//! Workload builders shared by the figure harness and the Criterion
-//! benches, mirroring the paper's setup (Section 6): users moved by the
+//! Workload builders for the figure harness and the bench binaries,
+//! mirroring the paper's setup (Section 6): users moved by the
 //! network-based generator over a (synthetic) county road network,
 //! uniformly distributed target objects, and per-user random privacy
 //! profiles.

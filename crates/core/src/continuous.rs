@@ -32,6 +32,7 @@ use casper_geometry::Rect;
 use casper_grid::VersionStamp;
 use casper_grid::{PyramidStructure, UserId};
 use casper_index::Entry;
+use casper_qp::FilterCount;
 
 use crate::engine::AnonymizerService;
 use crate::pipeline::Casper;
@@ -162,9 +163,8 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
             } else {
                 "reevaluate"
             });
-            let filters = self.filter_count();
             let server = self.server();
-            let (list, _) = server.nn_public(&region, filters);
+            let (list, _) = server.nn_public(&region, FilterCount::Four);
             // Stamp the dependency region under the same read guard so
             // no mutation can slip between compute and stamp.
             monitor.stamp = server.public_versions().map(|v| v.stamp(&list.dep));

@@ -7,7 +7,7 @@
 //! trusted tier durable:
 //!
 //! * [`wal`] — append-only op log: CRC-32-framed records with monotone
-//!   sequence numbers, group-commit batching over [`GroupWal`].
+//!   sequence numbers, group-commit batching over `GroupWal`.
 //! * [`checkpoint`] — `CSPA` files: the full user table at a known WAL
 //!   position, per-shard segments, segment + file CRC trailers.
 //! * [`recover`] — [`DurableAnonymizer`]: log-ahead writes, periodic
@@ -54,7 +54,7 @@ pub use checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint, Checkpoin
 pub use recover::{DurabilityConfig, DurableAnonymizer, RecoveryReport};
 pub use storage::{DirStorage, FaultPlan, MemStorage, Storage};
 pub use verify::{same_population, verify_recovery, CheckInvariants, VerifyReport};
-pub use wal::{GroupWal, WalOp};
+pub use wal::WalOp;
 
 /// Why a durable operation or recovery failed.
 #[derive(Debug)]

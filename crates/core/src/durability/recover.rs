@@ -3,7 +3,7 @@
 //!
 //! [`DurableAnonymizer`] wraps any [`AnonymizerService`] and makes its
 //! state-changing operations crash-safe: each op is committed to the
-//! [`GroupWal`] *before* it touches the in-memory structure, and the
+//! `GroupWal` *before* it touches the in-memory structure, and the
 //! call does not return success until the record is fsynced. An
 //! acknowledged op therefore survives any crash; an unacknowledged one
 //! may or may not — exactly the contract clients' §8 idempotent replay
@@ -115,7 +115,7 @@ pub struct RecoveryReport {
 }
 
 /// A crash-safe [`AnonymizerService`] wrapper: logs every mutation to a
-/// [`GroupWal`] before applying it, checkpoints periodically, and is
+/// `GroupWal` before applying it, checkpoints periodically, and is
 /// reconstructed after a crash by [`DurableAnonymizer::recover`].
 pub struct DurableAnonymizer<A, S: Storage + ?Sized> {
     inner: A,
@@ -135,6 +135,11 @@ pub struct DurableAnonymizer<A, S: Storage + ?Sized> {
     /// `turns[s % TURNS]` is signalled when seq `s - 1` has applied, so
     /// only the commit whose turn it is wakes, not the whole convoy.
     turns: [Condvar; TURNS],
+    /// Held by [`Self::apply_replicated`] from its read of the next seq
+    /// through the apply, so two deliveries of one frame (the old
+    /// connection's and the resend after a reconnect, on two reactors)
+    /// never both log it.
+    replicated: Mutex<()>,
 }
 
 /// Condvars commits waiting for their turn to apply are spread over.
@@ -302,6 +307,7 @@ impl<A: AnonymizerService, S: Storage + ?Sized> DurableAnonymizer<A, S> {
                 ops_since_checkpoint: AtomicU64::new(0),
                 boot_epoch: AtomicU64::new(boot_epoch),
                 applied: Mutex::new(last_seq),
+                replicated: Mutex::new(()),
                 turns: std::array::from_fn(|_| Condvar::new()),
             },
             report,
@@ -444,15 +450,17 @@ impl<A: AnonymizerService, S: Storage + ?Sized> DurableAnonymizer<A, S> {
     /// applied everything below), and record encoding is deterministic, so
     /// primary and standby logs stay bit-identical.
     ///
-    /// Duplicates (seq already applied — sender resent after a reconnect)
-    /// are skipped; the contiguous run from the next expected seq is
-    /// applied, stopping at the first gap. Returns the highest applied
-    /// seq. A gap at the head (nothing applicable) is an error the sender
-    /// answers by rewinding.
+    /// Frames apply one at a time. Duplicates (seq already applied —
+    /// sender resent after a reconnect, perhaps while the first delivery
+    /// was still applying) are skipped; the contiguous run from the next
+    /// expected seq is applied, stopping at the first gap. Returns the
+    /// highest applied seq. A gap at the head (nothing applicable) is an
+    /// error the sender answers by rewinding.
     pub fn apply_replicated(&self, records: &[WalRecord]) -> Result<u64, DurabilityError> {
         let run: Vec<WalOp>;
         let last;
         {
+            let _one_frame_at_a_time = lock(&self.replicated);
             let _gate = read(&self.gate);
             let next = self.wal.next_seq();
             let dups = records.iter().take_while(|r| r.seq < next).count();

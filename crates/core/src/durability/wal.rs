@@ -22,18 +22,17 @@
 //! corrupted-but-CRC-valid impossibility into a hard stop rather than
 //! silent reordering.
 //!
-//! [`GroupWal`] adds *group commit* on top: concurrent writers encode
+//! `GroupWal` adds *group commit* on top: concurrent writers encode
 //! into a shared buffer and one of them flushes (append + fsync) on
 //! behalf of everyone, so concurrent committers (two drivers, or every
 //! client of a replicated primary) amortise the fsync instead of paying
 //! one per op. A commit is two
-//! steps, `log` (reserve the seq, encode into the pending buffer) and
-//! `wait_durable` (block until a flush covers it); [`GroupWal::commit`]
-//! runs both. The replicated primary does something between the two: it
-//! queues the record for the standby, so the ship overlaps the local
-//! fsync. `commit_batch` encodes a run of ops at consecutive seqs and
-//! waits once, which is how a standby applies a whole replication frame
-//! with one flush.
+//! steps, `log` (reserve consecutive seqs for a run of ops, encode them
+//! into the pending buffer) and `wait_durable` (block until a flush
+//! covers them); `commit_batch` runs both, which is how a standby logs a
+//! whole replication frame with one flush. The replicated primary does
+//! something between the two: it queues the record for the standby, so
+//! the ship overlaps the local fsync.
 
 use std::sync::{Condvar, Mutex};
 
@@ -313,13 +312,12 @@ struct WalState {
 
 /// A group-committing WAL over a [`Storage`] file.
 ///
-/// [`GroupWal::commit`] logs an op and returns once the op is durable;
-/// inside the crate, `log` + `wait_durable` are its two halves and
-/// `commit_batch` commits a run of ops with one wait.
+/// `commit_batch` logs a run of ops and returns once all of them are
+/// durable; `log` + `wait_durable` are its two halves.
 /// Under concurrency, writers that arrive while a flush is in flight
 /// batch their records together and ride the next fsync — one disk
 /// round-trip per convoy, not per op.
-pub struct GroupWal<S: Storage + ?Sized> {
+pub(crate) struct GroupWal<S: Storage + ?Sized> {
     storage: std::sync::Arc<S>,
     file: Mutex<String>,
     state: Mutex<WalState>,
@@ -342,11 +340,6 @@ impl<S: Storage + ?Sized> GroupWal<S> {
             }),
             flushed: Condvar::new(),
         }
-    }
-
-    /// The file currently being appended to.
-    pub fn current_file(&self) -> String {
-        lock(&self.file).clone()
     }
 
     /// Highest sequence number known durable.
@@ -377,17 +370,11 @@ impl<S: Storage + ?Sized> GroupWal<S> {
         state.durable_seq = next_seq.saturating_sub(1);
     }
 
-    /// Logs `op` durably and returns its sequence number. Blocks until
-    /// the record (and, incidentally, every record batched with it) is
-    /// fsynced. Returns [`DurabilityError::WalPoisoned`] for every call
-    /// after the first IO failure.
-    pub fn commit(&self, op: &WalOp) -> Result<u64, DurabilityError> {
-        self.commit_batch(std::slice::from_ref(op))
-    }
-
     /// Logs `ops` at consecutive sequence numbers and blocks until all
-    /// of them are fsynced — one flush for the run, not one per op.
-    /// Returns the last op's sequence number.
+    /// of them (and, incidentally, every record batched with them) are
+    /// fsynced — one flush for the run, not one per op. Returns the last
+    /// op's sequence number, or [`DurabilityError::WalPoisoned`] for
+    /// every call after the first IO failure.
     pub(crate) fn commit_batch(&self, ops: &[WalOp]) -> Result<u64, DurabilityError> {
         let last = self.log(ops, |_| {})?;
         self.wait_durable(last)?;
@@ -656,10 +643,10 @@ mod tests {
                 let mut seqs = Vec::new();
                 for i in 0..50 {
                     let seq = wal
-                        .commit(&WalOp::UpdateLocation {
+                        .commit_batch(&[WalOp::UpdateLocation {
                             uid: UserId(t),
                             pos: Point::new(0.1, 0.1 * (i as f64 % 10.0)),
-                        })
+                        }])
                         .unwrap();
                     seqs.push(seq);
                 }
@@ -690,14 +677,14 @@ mod tests {
         }));
         let wal = GroupWal::new(storage, "w.log".into(), 1);
         let op = WalOp::Deregister { uid: UserId(1) };
-        assert!(wal.commit(&op).is_ok()); // append+sync = writes 1,2
-        let err = wal.commit(&op).unwrap_err(); // write 3 crashes
+        assert!(wal.commit_batch(&[op]).is_ok()); // append+sync = writes 1,2
+        let err = wal.commit_batch(&[op]).unwrap_err(); // write 3 crashes
         assert!(matches!(
             err,
             DurabilityError::WalPoisoned | DurabilityError::Io(_)
         ));
         assert!(matches!(
-            wal.commit(&op).unwrap_err(),
+            wal.commit_batch(&[op]).unwrap_err(),
             DurabilityError::WalPoisoned
         ));
     }

@@ -179,9 +179,6 @@ pub struct ServerConfig {
     /// Binding a *fixed* port lets a restarted server reclaim its old
     /// address so clients heal by reconnecting.
     pub bind: SocketAddr,
-    /// Per-frame payload cap; frames advertising more are rejected
-    /// without allocation. Defaults to [`MAX_FRAME_LEN`].
-    pub max_frame_len: usize,
     /// Cap on concurrently served connections; excess connections are
     /// accepted and immediately closed. Defaults to [`MAX_CONNECTIONS`].
     pub max_connections: usize,
@@ -196,20 +193,15 @@ pub struct ServerConfig {
     /// exactly once per recovery and is stable under clock trouble.
     /// `None` (the default) mints a fresh id per spawn.
     pub boot_id: Option<u64>,
-    /// Reactor threads multiplexing the connections; each runs the
-    /// frames of the connections it owns. Defaults to 2.
-    pub reactor_threads: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
-            max_frame_len: MAX_FRAME_LEN,
             max_connections: MAX_CONNECTIONS,
             metrics_http: None,
             boot_id: None,
-            reactor_threads: 2,
         }
     }
 }
@@ -353,8 +345,7 @@ impl NetworkServer {
         // The reactor pool is spawned up front; the accept loop then only
         // accepts, checks the cap, and hands the stream to a reactor
         // thread.
-        let (reactor, mut registrar) =
-            crate::reactor::ReactorPool::spawn(&plane, &stats, &stop, &config)?;
+        let (reactor, mut registrar) = crate::reactor::ReactorPool::spawn(&plane, &stats, &stop)?;
         // The accept loop drains the (non-blocking) listener, then parks
         // until it is readable again or shutdown wakes it.
         listener.set_nonblocking(true)?;
@@ -488,7 +479,7 @@ pub(crate) fn process_frame(
     // buffer moves into the decoder. Always zero ("no deadline") for
     // peers that never stamp budgets.
     let budget_ms = crate::wire::frame_budget(&frame);
-    // The trace context rides the padding too: adopting it here links
+    // The trace context rides the padding too: a remote root under it links
     // this server-side span tree to the anonymizer's client span, so
     // one trace covers both processes.
     let mut frame_span = match crate::wire::frame_trace(&frame) {
@@ -738,11 +729,6 @@ impl NetworkClient {
         self.server_boot
     }
 
-    /// The endpoint the next attempt will dial.
-    pub fn active_endpoint(&self) -> SocketAddr {
-        self.endpoints[self.active]
-    }
-
     /// Rotates to the next endpoint after a failed attempt (a no-op with
     /// a single endpoint). The dirty set is deliberately untouched:
     /// whether the next endpoint is the same primary restarted or a
@@ -764,11 +750,6 @@ impl NetworkClient {
         self.deadline = deadline;
     }
 
-    /// The circuit breaker's current state, when one is configured.
-    pub fn breaker_state(&self) -> Option<crate::overload::BreakerState> {
-        self.breaker.as_ref().map(|b| b.state())
-    }
-
     /// Resilience counters (reconnects, retries, replays).
     pub fn stats(&self) -> ClientStats {
         self.stats
@@ -778,12 +759,6 @@ impl NetworkClient {
     /// [`ClientConfig::pipeline_window`]).
     pub fn pipeline_window(&self) -> usize {
         self.config.pipeline_window.max(1)
-    }
-
-    /// Reconfigures the pipeline window for subsequent
-    /// [`NetworkClient::push_updates`] calls. `1` restores lockstep.
-    pub fn set_pipeline_window(&mut self, window: usize) {
-        self.config.pipeline_window = window.max(1);
     }
 
     /// Whether a live TCP stream is currently held. (`false` after a
@@ -1271,6 +1246,14 @@ mod tests {
         }
     }
 
+    /// Holds one idle connection to each other reactor, so the next
+    /// connection to `addr` is dealt to the same reactor as the last one.
+    fn fill_other_reactors(addr: SocketAddr) -> Vec<TcpStream> {
+        (1..crate::reactor::REACTORS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect()
+    }
+
     /// Polls `f` until it returns true or ~2 s elapse.
     fn eventually(mut f: impl FnMut() -> bool) -> bool {
         for _ in 0..200 {
@@ -1363,9 +1346,10 @@ mod tests {
     }
 
     /// A frame whose handler panics closes its own connection (counted as
-    /// a connection error) and leaves its reactor serving: on a
-    /// one-reactor server, several panicking frames must not stop a
-    /// healthy client on the same reactor.
+    /// a connection error) and leaves its reactor serving: connections
+    /// are dealt to the reactors round-robin, so several of the
+    /// panicking frames run on the healthy client's reactor and must not
+    /// stop it.
     #[test]
     fn panicking_handler_fails_its_connection_not_the_reactor() {
         struct Panics;
@@ -1374,14 +1358,9 @@ mod tests {
                 panic!("injected replica-hook panic");
             }
         }
-        let config = ServerConfig {
-            reactor_threads: 1,
-            ..ServerConfig::default()
-        };
-        let server =
-            NetworkServer::spawn_with(server_with_targets(10), FilterCount::Four, config).unwrap();
+        let server = NetworkServer::spawn(server_with_targets(10), FilterCount::Four).unwrap();
         let region = Rect::from_coords(0.4, 0.4, 0.6, 0.6);
-        // Admitted by the one reactor before any handler panics.
+        // Admitted by its reactor before any handler panics.
         let mut healthy = NetworkClient::connect(server.addr()).unwrap();
         assert!(!healthy.query_nn(1, region).unwrap().is_empty());
         server.plane().set_replica(Arc::new(Panics));
@@ -1390,7 +1369,7 @@ mod tests {
             commit_horizon: 0,
             records: Vec::new(),
         }));
-        const PANICS: u64 = 4;
+        const PANICS: u64 = 2 * crate::reactor::REACTORS as u64;
         let socks: Vec<TcpStream> = (0..PANICS)
             .map(|_| {
                 let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -1422,12 +1401,7 @@ mod tests {
     /// block long before the server could have buffered 32 MiB for it.
     #[test]
     fn a_client_that_never_reads_is_stopped_by_backpressure() {
-        let config = ServerConfig {
-            reactor_threads: 1,
-            ..ServerConfig::default()
-        };
-        let server =
-            NetworkServer::spawn_with(server_with_targets(10), FilterCount::Four, config).unwrap();
+        let server = NetworkServer::spawn(server_with_targets(10), FilterCount::Four).unwrap();
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.set_write_timeout(Some(Duration::from_millis(500)))
             .unwrap();
@@ -1463,8 +1437,9 @@ mod tests {
             blocked,
             "wrote {written} bytes of updates without reading an ack and no write blocked"
         );
-        // The stalled connection holds only itself up, even on the one
+        // The stalled connection holds only itself up, even on the
         // reactor it shares with the next client.
+        let _others = fill_other_reactors(server.addr());
         let mut client = NetworkClient::connect(server.addr()).unwrap();
         assert!(!client.query_nn(1, region).unwrap().is_empty());
         server.shutdown();
@@ -1472,16 +1447,11 @@ mod tests {
 
     /// A connection that streams updates as fast as the server acks them
     /// gets one frame budget per pass of its reactor, like every other
-    /// connection there: a lockstep client beside it on the one reactor
-    /// is answered within a second every time, and no read times out.
+    /// connection there: a lockstep client beside it on that reactor is
+    /// answered within a second every time, and no read times out.
     #[test]
     fn a_firehose_does_not_starve_its_siblings() {
-        let config = ServerConfig {
-            reactor_threads: 1,
-            ..ServerConfig::default()
-        };
-        let server =
-            NetworkServer::spawn_with(server_with_targets(10), FilterCount::Four, config).unwrap();
+        let server = NetworkServer::spawn(server_with_targets(10), FilterCount::Four).unwrap();
         let region = Rect::from_coords(0.4, 0.4, 0.6, 0.6);
         let mut hose = TcpStream::connect(server.addr()).unwrap();
         let mut acks = hose.try_clone().unwrap();
@@ -1522,6 +1492,7 @@ mod tests {
             eventually(|| acked.load(Ordering::Relaxed) > 0),
             "the firehose was never acked"
         );
+        let _others = fill_other_reactors(server.addr());
         let mut client = NetworkClient::connect(server.addr()).unwrap();
         let mut worst = Duration::ZERO;
         let answered = (0..50u64).all(|i| {
@@ -1546,47 +1517,39 @@ mod tests {
     /// A lost wakeup leaves a reply unread until the client's read
     /// timeout fires and it retries. Lockstep traffic parks the reactor
     /// between nearly every frame, so many threads of it exercise the
-    /// park protocol hard — on one reactor and on the default pool.
+    /// park protocol hard, several connections to each reactor.
     #[test]
     fn lockstep_stress_loses_no_wakeup() {
-        let single = ServerConfig {
-            reactor_threads: 1,
-            ..ServerConfig::default()
-        };
-        for config in [single, ServerConfig::default()] {
-            let server =
-                NetworkServer::spawn_with(server_with_targets(100), FilterCount::Four, config)
-                    .unwrap();
-            let addr = server.addr();
-            let threads: Vec<_> = (0..4u64)
-                .map(|t| {
-                    std::thread::spawn(move || {
-                        let mut client = NetworkClient::with_config(
-                            addr,
-                            ClientConfig {
-                                read_timeout: Duration::from_millis(250),
-                                ..ClientConfig::default()
-                            },
-                        );
-                        for i in 0..5_000u64 {
-                            let x = ((t + i) % 8) as f64 / 10.0 + 0.05;
-                            let region = Rect::from_coords(x, 0.4, x + 0.1, 0.5);
-                            let list = client.query_nn(i, region).unwrap();
-                            assert!(!list.is_empty(), "query {i} on thread {t} got no answer");
-                        }
-                        client.stats()
-                    })
+        let server = NetworkServer::spawn(server_with_targets(100), FilterCount::Four).unwrap();
+        let addr = server.addr();
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let mut client = NetworkClient::with_config(
+                        addr,
+                        ClientConfig {
+                            read_timeout: Duration::from_millis(250),
+                            ..ClientConfig::default()
+                        },
+                    );
+                    for i in 0..5_000u64 {
+                        let x = ((t + i) % 8) as f64 / 10.0 + 0.05;
+                        let region = Rect::from_coords(x, 0.4, x + 0.1, 0.5);
+                        let list = client.query_nn(i, region).unwrap();
+                        assert!(!list.is_empty(), "query {i} on thread {t} got no answer");
+                    }
+                    client.stats()
                 })
-                .collect();
-            for t in threads {
-                let stats = t.join().unwrap();
-                assert_eq!(
-                    stats.retries, 0,
-                    "a read timed out (lost wakeup?) under {config:?}: {stats:?}"
-                );
-            }
-            server.shutdown();
+            })
+            .collect();
+        for t in threads {
+            let stats = t.join().unwrap();
+            assert_eq!(
+                stats.retries, 0,
+                "a read timed out (lost wakeup?): {stats:?}"
+            );
         }
+        server.shutdown();
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Deadline {
         }
     }
 
-    /// The expiry instant, if any.
-    pub fn expires_at(&self) -> Option<Instant> {
-        self.expires
-    }
-
     /// Remaining budget; `None` when unbounded, `Some(ZERO)` when expired.
     pub fn remaining(&self) -> Option<Duration> {
         self.expires

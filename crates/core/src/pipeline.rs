@@ -154,11 +154,6 @@ pub(crate) trait ServerLink {
     fn server_boot(&self) -> Option<u64> {
         None
     }
-
-    /// Pins the deadline governing subsequent operations (transport
-    /// links stamp it into frames and bound their retries). The
-    /// in-process plane ignores it: nothing queues in front of it.
-    fn set_deadline(&self, _deadline: Option<Instant>) {}
 }
 
 impl ServerLink for ServerPlane {
@@ -221,10 +216,6 @@ impl ServerLink for Mutex<NetworkClient> {
     fn server_boot(&self) -> Option<u64> {
         lock(self).server_boot()
     }
-
-    fn set_deadline(&self, deadline: Option<Instant>) {
-        lock(self).set_deadline(deadline);
-    }
 }
 
 /// The one trusted-tier pipeline behind [`Casper`] and [`RemoteCasper`]:
@@ -234,11 +225,6 @@ impl ServerLink for Mutex<NetworkClient> {
 pub(crate) struct Pipeline<A, L> {
     pub(crate) anonymizer: A,
     pub(crate) link: L,
-    pub(crate) transmission: TransmissionModel,
-    pub(crate) filters: FilterCount,
-    /// End-to-end budget granted to each request at pipeline entry.
-    /// `None` (the default) leaves operations unbounded.
-    pub(crate) request_budget: Option<Duration>,
     /// Wire pseudonyms: a fresh value per query, never the uid.
     next_pseudonym: AtomicU64,
     /// Users whose newest region was refused (fail private) and so has
@@ -247,25 +233,12 @@ pub(crate) struct Pipeline<A, L> {
 }
 
 impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
-    /// Assembles the core with the paper's defaults (4 filters, 64-byte
-    /// records over 100 Mbps).
     pub(crate) fn new(anonymizer: A, link: L) -> Self {
         Self {
             anonymizer,
             link,
-            transmission: TransmissionModel::default(),
-            filters: FilterCount::Four,
-            request_budget: None,
             next_pseudonym: AtomicU64::new(1),
             held: Mutex::new(BTreeSet::new()),
-        }
-    }
-
-    /// Arms the link with this request's deadline (when a budget is
-    /// configured) so every downstream hop can drop doomed work early.
-    fn arm_deadline(&self) {
-        if let Some(budget) = self.request_budget {
-            self.link.set_deadline(Some(Instant::now() + budget));
         }
     }
 
@@ -323,7 +296,6 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
     /// user-tier requests stay on the trusted side, everything else goes
     /// through the link.
     pub(crate) fn execute(&self, req: Request) -> Response {
-        self.arm_deadline();
         match req {
             Request::Register { uid, profile, pos } => {
                 let s = self.anonymizer.register(uid, profile, pos);
@@ -352,11 +324,14 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
                 uid,
                 filters,
                 category,
-            } => {
-                Response::Outcome(self.query(uid, filters.unwrap_or(self.filters), category, false))
-            }
+            } => Response::Outcome(self.query(
+                uid,
+                filters.unwrap_or(FilterCount::Four),
+                category,
+                false,
+            )),
             Request::QueryNnPrivate { uid } => {
-                Response::Outcome(self.query(uid, self.filters, None, true))
+                Response::Outcome(self.query(uid, FilterCount::Four, None, true))
             }
             server_tier => self.link.call(server_tier).unwrap_or(Response::Unsupported(
                 "the server link could not serve this request",
@@ -384,7 +359,6 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
                 (id, crate::tel::span_root(id, "query"))
             }
         };
-        self.arm_deadline();
         let t0 = Instant::now();
         let cloak_span = crate::tel::span("cloak");
         let cloaked = self.anonymizer.cloak(uid);
@@ -448,7 +422,7 @@ impl<A: AnonymizerService, L: ServerLink> Pipeline<A, L> {
         // The in-process plane reports its processing time; over a real
         // socket only the measured round trip is known.
         let query_time = processing.unwrap_or_else(|| t1.elapsed());
-        let transmission = self.transmission.time_for_records(entries.len());
+        let transmission = TransmissionModel::default().time_for_records(entries.len());
         let refine_span = crate::tel::span("client_refine");
         let pos = self.anonymizer.position_of(uid)?;
         let exact = if private_data {
@@ -542,18 +516,6 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
         }
     }
 
-    /// Overrides the filter-count variant of the query processor.
-    pub fn with_filters(mut self, filters: FilterCount) -> Self {
-        self.core.filters = filters;
-        self
-    }
-
-    /// Overrides the transmission model.
-    pub fn with_transmission(mut self, model: TransmissionModel) -> Self {
-        self.core.transmission = model;
-        self
-    }
-
     /// Loads the public target objects (gas stations, restaurants, ...).
     pub fn load_targets(&mut self, targets: impl IntoIterator<Item = (ObjectId, Point)>) {
         self.core.link.write().load_public_targets(targets);
@@ -590,7 +552,7 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
     /// users, and for a user whose cloak misses their own profile: that
     /// region is never released (fail private).
     pub fn query_nn(&mut self, uid: UserId) -> Option<EndToEndAnswer> {
-        self.query_nn_with(uid, self.core.filters)
+        self.query_nn_with(uid, FilterCount::Four)
     }
 
     /// [`Casper::query_nn`] with an explicit filter-count variant —
@@ -603,7 +565,7 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
     /// buddy?"), end to end.
     pub fn query_nn_private(&mut self, uid: UserId) -> Option<EndToEndAnswer> {
         self.core
-            .query(uid, self.core.filters, None, true)?
+            .query(uid, FilterCount::Four, None, true)?
             .answered()
     }
 
@@ -617,11 +579,6 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
     /// [`AnonymizerService`] (harnesses, tests).
     pub fn anonymizer(&self) -> &RwLock<P> {
         &self.core.anonymizer
-    }
-
-    /// The configured filter-count variant.
-    pub fn filter_count(&self) -> FilterCount {
-        self.core.filters
     }
 
     /// Read access to the server (harnesses, tests).
@@ -638,13 +595,6 @@ impl<P: PyramidStructure + Send + Sync> Casper<P> {
     /// default).
     pub fn with_query_cache(self, enabled: bool) -> Self {
         self.core.link.write().set_query_cache_enabled(enabled);
-        self
-    }
-
-    /// Replaces the hosted server's cache with a fresh one under
-    /// `config`.
-    pub fn with_query_cache_config(self, config: casper_qp::cache::CacheConfig) -> Self {
-        self.core.link.write().set_query_cache_config(config);
         self
     }
 
@@ -715,33 +665,6 @@ impl<P: PyramidStructure + Send + Sync> RemoteCasper<P> {
         }
     }
 
-    /// Sets the client's pipeline window (default 1, lockstep): replays
-    /// of owed regions keep up to `window` frames in flight on the
-    /// connection and read acks as they stream back, instead of one
-    /// write/read round-trip per update. Values below 1 are clamped to
-    /// one. Queries still replay owed regions first, so they remain
-    /// ordering barriers.
-    pub fn with_pipeline_window(self, window: usize) -> Self {
-        lock(&self.core.link).set_pipeline_window(window);
-        self
-    }
-
-    /// Grants every operation an end-to-end deadline of `budget` from
-    /// pipeline entry. The deadline is stamped into outgoing frames (so
-    /// the server sheds doomed work), bounds the client's retry loop
-    /// (see [`NetError::GaveUp`]), and expires queued work at every
-    /// downstream hop.
-    pub fn with_request_budget(mut self, budget: Duration) -> Self {
-        self.core.request_budget = Some(budget);
-        self
-    }
-
-    /// Overrides the transmission model.
-    pub fn with_transmission(mut self, model: TransmissionModel) -> Self {
-        self.core.transmission = model;
-        self
-    }
-
     /// Registers a mobile user and pushes the cloaked region (owed if the
     /// push fails).
     pub fn register_user(&mut self, uid: UserId, profile: Profile, pos: Point) {
@@ -781,7 +704,7 @@ impl<P: PyramidStructure + Send + Sync> RemoteCasper<P> {
     /// reachable server yields [`QueryOutcome::Answered`], an unreachable
     /// one [`QueryOutcome::Degraded`].
     pub fn query_nn(&mut self, uid: UserId) -> Option<QueryOutcome> {
-        self.core.query(uid, self.core.filters, None, false)
+        self.core.query(uid, FilterCount::Four, None, false)
     }
 
     /// Users whose newest cloaked region the server may lack, awaiting

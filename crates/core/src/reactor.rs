@@ -53,7 +53,7 @@ use std::thread::JoinHandle;
 
 use crate::codec::{compact, encode_frame, FrameDecoder, FrameError};
 use crate::engine::ServerPlane;
-use crate::net::{process_frame, ActiveGuard, NetError, ServerConfig, StatsInner};
+use crate::net::{process_frame, ActiveGuard, NetError, StatsInner};
 use crate::sync::lock;
 
 /// Frames one service pass runs on a connection before the reactor turns
@@ -65,6 +65,10 @@ const FRAME_BUDGET: usize = 64;
 /// its peer drains them: the bound on what a client that never reads can
 /// make the server buffer (plus one read's worth of replies).
 const MAX_UNWRITTEN: usize = 1 << 20;
+
+/// Reactor threads per server. Accepted connections are dealt to them
+/// round-robin, and each runs the frames of the connections it owns.
+pub(crate) const REACTORS: usize = 2;
 
 /// `struct pollfd` as Linux lays it out.
 #[repr(C)]
@@ -209,10 +213,9 @@ impl ReactorPool {
         plane: &Arc<ServerPlane>,
         stats: &Arc<StatsInner>,
         stop: &Arc<AtomicBool>,
-        config: &ServerConfig,
     ) -> std::io::Result<(Self, Registrar)> {
         // Every fallible step before any thread starts.
-        let parkers = (0..config.reactor_threads.max(1))
+        let parkers = (0..REACTORS)
             .map(|_| Parker::new())
             .collect::<std::io::Result<Vec<_>>>()?;
         let mut reactors = Vec::with_capacity(parkers.len());
@@ -230,7 +233,6 @@ impl ReactorPool {
                 parker,
                 conns: HashMap::new(),
                 next_conn: 0,
-                max_frame_len: config.max_frame_len,
             };
             reactors.push(std::thread::spawn(move || thread.run()));
         }
@@ -278,7 +280,6 @@ struct ReactorThread {
     parker: Parker,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    max_frame_len: usize,
 }
 
 impl ReactorThread {
@@ -343,7 +344,7 @@ impl ReactorThread {
             id,
             Conn {
                 stream,
-                decoder: FrameDecoder::with_max_frame_len(self.max_frame_len),
+                decoder: FrameDecoder::new(),
                 out: Vec::new(),
                 out_start: 0,
                 peer,

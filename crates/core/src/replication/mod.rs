@@ -122,6 +122,9 @@ pub enum DurabilityMode {
     StandbyFsync,
 }
 
+/// Cap on records per `Replicate` frame.
+const MAX_BATCH: usize = 4096;
+
 /// Tuning for the replication sender and the standby's failover monitor.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicationConfig {
@@ -143,8 +146,6 @@ pub struct ReplicationConfig {
     pub io_timeout: Duration,
     /// Backoff between reconnect attempts after a link failure.
     pub reconnect_backoff: Duration,
-    /// Cap on records per `Replicate` frame.
-    pub max_batch: usize,
 }
 
 impl Default for ReplicationConfig {
@@ -157,7 +158,6 @@ impl Default for ReplicationConfig {
             connect_timeout: Duration::from_millis(250),
             io_timeout: Duration::from_millis(500),
             reconnect_backoff: Duration::from_millis(25),
-            max_batch: 4096,
         }
     }
 }
@@ -603,7 +603,7 @@ where
                 }
                 expect = Some(seq + 1);
                 batch.push(op);
-                if batch.len() >= cfg.max_batch {
+                if batch.len() >= MAX_BATCH {
                     break;
                 }
             }
@@ -1824,5 +1824,57 @@ mod tests {
         assert!(primary.try_update_location(UserId(1), LAST).is_err());
         drop(primary);
         server.shutdown();
+    }
+
+    /// After a reconnect, the old connection's frame and its resend can
+    /// run on the server's two reactors at once. The standby must log and
+    /// apply the frame once: logged twice, its WAL would hold 2 × 4096
+    /// records and it would skip the primary's next 4096 as duplicates.
+    /// Each round releases the two applies behind a barrier; an apply
+    /// that does not answer within 30 s fails the test instead of
+    /// hanging it.
+    #[test]
+    fn overlapping_replicated_frames_apply_once() {
+        const RECORDS: u64 = 4096;
+        let (records, _, _) = decode_records(&frame(1..=RECORDS), None);
+        let records = Arc::new(records);
+        let (next, _, _) = decode_records(&frame(RECORDS + 1..=RECORDS + 4), None);
+        for round in 0..20 {
+            let durable = recover(&Arc::new(MemStorage::new()));
+            let barrier = Arc::new(std::sync::Barrier::new(2));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let applies: Vec<_> = (0..2)
+                .map(|_| {
+                    let (durable, barrier, records, tx) = (
+                        Arc::clone(&durable),
+                        Arc::clone(&barrier),
+                        Arc::clone(&records),
+                        tx.clone(),
+                    );
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        let applied = durable.apply_replicated(&records);
+                        let _ = tx.send(applied.map_err(|e| e.to_string()));
+                    })
+                })
+                .collect();
+            drop(tx);
+            for _ in 0..2 {
+                let applied = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|e| panic!("round {round}: an apply hung or panicked: {e}"));
+                assert_eq!(applied, Ok(RECORDS), "round {round}");
+            }
+            for apply in applies {
+                apply.join().unwrap(); // both have answered
+            }
+            assert_eq!(
+                durable.next_seq(),
+                RECORDS + 1,
+                "round {round}: the frame was logged twice"
+            );
+            assert_eq!(durable.apply_replicated(&next).unwrap(), RECORDS + 4);
+            assert_eq!(durable.user_count(), RECORDS as usize + 4);
+        }
     }
 }

@@ -168,7 +168,6 @@ fn repl_cfg(seed: u64) -> ReplicationConfig {
         connect_timeout: Duration::from_millis(50),
         io_timeout: Duration::from_millis(25),
         reconnect_backoff: Duration::from_millis(5),
-        max_batch: 4096,
     }
 }
 

@@ -163,24 +163,6 @@ impl AdaptivePyramid {
         }
     }
 
-    /// Rebuilds a pyramid from checkpoint records (see
-    /// [`PyramidStructure::user_records`]). Splitting and merging are
-    /// driven purely by the registered population, so the rebuilt
-    /// structure passes [`AdaptivePyramid::check_invariants`] and serves
-    /// every user with the same `(k, A_min)` guarantees as the original
-    /// (the maintained-cell *set* may differ transiently from the
-    /// original's history-dependent shape; cloaks are unaffected).
-    pub fn from_users(
-        height: u8,
-        users: impl IntoIterator<Item = (UserId, Profile, Point)>,
-    ) -> Self {
-        let mut p = Self::new(height);
-        for (uid, profile, pos) in users {
-            p.register(uid, profile, pos);
-        }
-        p
-    }
-
     /// The lowest pyramid level (`H - 1`).
     #[inline]
     pub fn lowest_level(&self) -> u8 {
@@ -191,14 +173,6 @@ impl AdaptivePyramid {
     pub fn cell_of(&self, uid: UserId) -> Option<CellId> {
         let idx = *self.users.get(&uid)?;
         Some(self.cells[self.slab[idx as usize].leaf as usize].cid)
-    }
-
-    /// Level-tagged Morton key of a registered user's maintained leaf —
-    /// the sort key batch cloaking uses to walk a group of users in
-    /// Z-order, so Algorithm 1's sibling block lookups revisit warm
-    /// arena lines instead of hopping across the pyramid.
-    pub fn leaf_morton_key_of(&self, uid: UserId) -> Option<u64> {
-        self.cell_of(uid).map(|cid| cid.morton_key())
     }
 
     /// Profile and cloak of a registered user from a single hash probe:

@@ -71,21 +71,6 @@ impl CompletePyramid {
         }
     }
 
-    /// Rebuilds a pyramid from checkpoint records (see
-    /// [`PyramidStructure::user_records`]). The complete pyramid's state
-    /// is a pure function of the registered population, so the rebuilt
-    /// structure is identical regardless of record order.
-    pub fn from_users(
-        height: u8,
-        users: impl IntoIterator<Item = (UserId, Profile, Point)>,
-    ) -> Self {
-        let mut p = Self::new(height);
-        for (uid, profile, pos) in users {
-            p.register(uid, profile, pos);
-        }
-        p
-    }
-
     /// The lowest pyramid level (`H - 1`).
     #[inline]
     pub fn lowest_level(&self) -> u8 {

@@ -29,7 +29,7 @@ mod rtree;
 mod uniform;
 
 pub use brute::BruteForce;
-pub use rtree::{RTree, SplitStrategy};
+pub use rtree::RTree;
 pub use uniform::UniformGrid;
 
 use casper_geometry::{Point, Rect};

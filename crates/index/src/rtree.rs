@@ -18,18 +18,6 @@ const MAX_ENTRIES: usize = 16;
 /// Minimum entries per node (except the root) after deletions.
 const MIN_ENTRIES: usize = 6;
 
-/// Node-splitting strategy (Guttman '84 defines both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitStrategy {
-    /// Quadratic split: O(M^2) seed selection minimising dead area —
-    /// better-shaped nodes, the default.
-    #[default]
-    Quadratic,
-    /// Linear split: O(M) seed selection along the most-separated axis —
-    /// faster insertion, looser nodes.
-    Linear,
-}
-
 #[derive(Debug, Clone)]
 enum NodeKind {
     Leaf(Vec<Entry>),
@@ -85,7 +73,6 @@ pub struct RTree {
     len: usize,
     /// Side map for deletions: where is each object?
     id_map: HashMap<ObjectId, Rect>,
-    split: SplitStrategy,
 }
 
 impl Default for RTree {
@@ -95,20 +82,14 @@ impl Default for RTree {
 }
 
 impl RTree {
-    /// Creates an empty tree with the default (quadratic) split strategy.
+    /// Creates an empty tree.
     pub fn new() -> Self {
-        Self::with_split(SplitStrategy::Quadratic)
-    }
-
-    /// Creates an empty tree using the given node-splitting strategy.
-    pub fn with_split(split: SplitStrategy) -> Self {
         RTree {
             nodes: vec![Node::empty_leaf()],
             free: Vec::new(),
             root: 0,
             len: 0,
             id_map: HashMap::new(),
-            split,
         }
     }
 
@@ -128,7 +109,6 @@ impl RTree {
             root: 0,
             len: entries.len(),
             id_map: entries.iter().map(|e| (e.id, e.mbr)).collect(),
-            split: SplitStrategy::Quadratic,
         };
         // Tile the entries.
         entries.sort_by(|a, b| a.mbr.center().x.total_cmp(&b.mbr.center().x));
@@ -318,89 +298,13 @@ impl RTree {
         (g1, g2)
     }
 
-    /// Guttman's linear split: seeds are the pair with the greatest
-    /// normalised separation along either axis; the rest are assigned by
-    /// least enlargement in arrival order.
-    fn linear_partition(rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-        debug_assert!(rects.len() >= 2);
-        // Normalised separation per axis: (highest low side - lowest high
-        // side) / total width.
-        let mut best_pair = (0usize, 1usize);
-        let mut best_sep = f64::NEG_INFINITY;
-        for axis in 0..2 {
-            let lo = |r: &Rect| if axis == 0 { r.min.x } else { r.min.y };
-            let hi = |r: &Rect| if axis == 0 { r.max.x } else { r.max.y };
-            let (mut max_lo, mut max_lo_i) = (f64::NEG_INFINITY, 0usize);
-            let (mut min_hi, mut min_hi_i) = (f64::INFINITY, 0usize);
-            let (mut min_lo, mut max_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for (i, r) in rects.iter().enumerate() {
-                if lo(r) > max_lo {
-                    max_lo = lo(r);
-                    max_lo_i = i;
-                }
-                if hi(r) < min_hi {
-                    min_hi = hi(r);
-                    min_hi_i = i;
-                }
-                min_lo = min_lo.min(lo(r));
-                max_hi = max_hi.max(hi(r));
-            }
-            let width = (max_hi - min_lo).max(f64::MIN_POSITIVE);
-            let sep = (max_lo - min_hi) / width;
-            if sep > best_sep && max_lo_i != min_hi_i {
-                best_sep = sep;
-                best_pair = (max_lo_i, min_hi_i);
-            }
-        }
-        let (s1, s2) = best_pair;
-        let mut g1 = vec![s1];
-        let mut g2 = vec![s2];
-        let mut mbr1 = rects[s1];
-        let mut mbr2 = rects[s2];
-        for i in 0..rects.len() {
-            if i == s1 || i == s2 {
-                continue;
-            }
-            let remaining =
-                rects.len() - i - if s1 > i { 1 } else { 0 } - if s2 > i { 1 } else { 0 };
-            // Force-assign for minimum fill.
-            if g1.len() + remaining <= MIN_ENTRIES {
-                mbr1 = mbr1.union(&rects[i]);
-                g1.push(i);
-                continue;
-            }
-            if g2.len() + remaining <= MIN_ENTRIES {
-                mbr2 = mbr2.union(&rects[i]);
-                g2.push(i);
-                continue;
-            }
-            let d1 = mbr1.union(&rects[i]).area() - mbr1.area();
-            let d2 = mbr2.union(&rects[i]).area() - mbr2.area();
-            if d1 < d2 || (d1 == d2 && g1.len() <= g2.len()) {
-                mbr1 = mbr1.union(&rects[i]);
-                g1.push(i);
-            } else {
-                mbr2 = mbr2.union(&rects[i]);
-                g2.push(i);
-            }
-        }
-        (g1, g2)
-    }
-
-    fn partition(&self, rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-        match self.split {
-            SplitStrategy::Quadratic => Self::quadratic_partition(rects),
-            SplitStrategy::Linear => Self::linear_partition(rects),
-        }
-    }
-
     fn split_leaf(&mut self, idx: usize) -> usize {
         let entries = match &mut self.nodes[idx].kind {
             NodeKind::Leaf(e) => std::mem::take(e),
             NodeKind::Internal(_) => unreachable!("split_leaf on internal node"),
         };
         let rects: Vec<Rect> = entries.iter().map(|e| e.mbr).collect();
-        let (g1, g2) = self.partition(&rects);
+        let (g1, g2) = Self::quadratic_partition(&rects);
         let take = |group: &[usize]| -> Vec<Entry> { group.iter().map(|&i| entries[i]).collect() };
         let (e1, e2) = (take(&g1), take(&g2));
         self.nodes[idx].kind = NodeKind::Leaf(e1);
@@ -419,7 +323,7 @@ impl RTree {
             NodeKind::Leaf(_) => unreachable!("split_internal on leaf node"),
         };
         let rects: Vec<Rect> = children.iter().map(|&c| self.nodes[c].mbr).collect();
-        let (g1, g2) = self.partition(&rects);
+        let (g1, g2) = Self::quadratic_partition(&rects);
         let take = |group: &[usize]| -> Vec<usize> { group.iter().map(|&i| children[i]).collect() };
         let (c1, c2) = (take(&g1), take(&g2));
         self.nodes[idx].kind = NodeKind::Internal(c1);
@@ -868,47 +772,6 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn linear_split_tree_is_valid_and_correct() {
-        let entries = random_points(400, 20);
-        let mut linear = RTree::with_split(SplitStrategy::Linear);
-        let mut quad = RTree::with_split(SplitStrategy::Quadratic);
-        for e in &entries {
-            linear.insert(*e);
-            quad.insert(*e);
-        }
-        linear.check_invariants().unwrap();
-        quad.check_invariants().unwrap();
-        // Identical query results regardless of split strategy.
-        let q = Rect::from_coords(0.25, 0.1, 0.7, 0.8);
-        let mut a: Vec<u64> = linear.range(&q).iter().map(|e| e.id.0).collect();
-        let mut b: Vec<u64> = quad.range(&q).iter().map(|e| e.id.0).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        let p = Point::new(0.37, 0.61);
-        assert!(
-            (linear.nearest(p, DistanceKind::Min).unwrap().dist
-                - quad.nearest(p, DistanceKind::Min).unwrap().dist)
-                .abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn linear_split_survives_deletions() {
-        let entries = random_points(250, 21);
-        let mut t = RTree::with_split(SplitStrategy::Linear);
-        for e in &entries {
-            t.insert(*e);
-        }
-        for id in (0..250u64).step_by(2) {
-            assert!(t.remove(ObjectId(id)).is_some());
-        }
-        assert_eq!(t.len(), 125);
-        t.check_invariants().unwrap();
     }
 
     #[test]

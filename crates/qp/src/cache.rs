@@ -34,9 +34,8 @@ use casper_grid::{CellVersionTable, VersionStamp};
 use casper_index::SpatialIndex;
 
 use crate::{
-    everywhere, private_knn_private_data, private_knn_public_data, private_nn_private_data,
-    private_nn_public_data, private_range_public_data, CandidateList, FilterCount,
-    PrivateBoundMode,
+    everywhere, private_knn_public_data, private_nn_private_data, private_nn_public_data,
+    private_range_public_data, CandidateList, FilterCount, PrivateBoundMode,
 };
 
 /// The query classes the cache distinguishes.
@@ -48,8 +47,6 @@ pub enum QueryKind {
     NnPrivate,
     /// [`crate::private_knn_public_data`].
     KnnPublic,
-    /// [`crate::private_knn_private_data`].
-    KnnPrivate,
     /// [`crate::private_range_public_data`].
     RangePublic,
     /// [`crate::public_range_over_private`]'s overlap scan.
@@ -383,27 +380,6 @@ pub fn cached_knn_public<I: SpatialIndex>(
     );
     cache.get_or_compute(key, versions, || {
         private_knn_public_data(index, region, k, filters)
-    })
-}
-
-/// Cached [`crate::private_knn_private_data`].
-pub fn cached_knn_private<I: SpatialIndex>(
-    cache: &CandidateCache,
-    versions: &CellVersionTable,
-    index: &I,
-    region: &Rect,
-    k: usize,
-    filters: FilterCount,
-) -> CandidateList {
-    let key = CacheKey::new(
-        QueryKind::KnnPrivate,
-        region,
-        k.min(u32::MAX as usize) as u32,
-        Some(filters),
-        0,
-    );
-    cache.get_or_compute(key, versions, || {
-        private_knn_private_data(index, region, k, filters)
     })
 }
 

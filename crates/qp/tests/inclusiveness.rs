@@ -4,10 +4,10 @@
 //!   it, and any set of public targets, the exact nearest neighbour is in
 //!   the candidate list (tested for 1, 2 and 4 filters and for all three
 //!   index implementations).
-//! * **Theorem 2** — minimality: shrinking `A_EXT` can lose valid answers;
-//!   we verify the weaker but universally-quantifiable form that every
-//!   candidate is *potentially* the NN bound witness, plus explicit
-//!   constructed minimality cases in the unit tests.
+//! * **Theorem 2** — minimality: each side of `A_EXT` lies exactly at
+//!   the binding distance of its edge, so a witness target placed there
+//!   ties with the filter of the point that binds (tested for 1, 2 and 4
+//!   filters), and shrinking any side by any ε would lose it.
 //! * **Theorem 3** — the private-data variant (Safe bound mode) is
 //!   inclusive for any true target positions inside their cloaked regions.
 
@@ -15,7 +15,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use casper_geometry::{Point, Rect};
 use casper_index::{BruteForce, Entry, ObjectId, RTree, SpatialIndex, UniformGrid};
-use casper_qp::{private_nn_private_data, private_nn_public_data, FilterCount, PrivateBoundMode};
+use casper_qp::{
+    assign_filters_public, private_nn_private_data, private_nn_public_data, FilterCount,
+    PrivateBoundMode,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -299,6 +302,116 @@ fn candidate_lists_shrink_with_more_filters_on_average() {
         let diag = (reg.width().powi(2) + reg.height().powi(2)).sqrt();
         assert!(four.a_ext.area() <= one.a_ext.area() + diag * 4.0 + 1e-6);
     });
+}
+
+/// The point of edge `a b` that binds Algorithm 2's bound, recomputed
+/// from the corners' filter positions `t_a` and `t_b`: the corner, or
+/// the middle point where the filters' perpendicular bisector crosses
+/// the edge (only when the corners' filters differ), that is farthest
+/// from the nearer of the two filters. Returns the point, its filter,
+/// and whether it is the middle point.
+fn binding_point(a: Point, b: Point, t_a: Point, t_b: Point, same: bool) -> (Point, Point, bool) {
+    let mut best = (a, t_a, false);
+    if b.dist(t_b) > a.dist(t_a) {
+        best = (b, t_b, false);
+    }
+    if !same {
+        // |p - t_a|² = |p - t_b|² along p = a + s (b - a).
+        let (ex, ey) = (b.x - a.x, b.y - a.y);
+        let (dx, dy) = (t_a.x - t_b.x, t_a.y - t_b.y);
+        let k = (t_a.x * t_a.x + t_a.y * t_a.y) - (t_b.x * t_b.x + t_b.y * t_b.y);
+        let slope = 2.0 * (ex * dx + ey * dy);
+        if slope != 0.0 {
+            let s = (k - 2.0 * (a.x * dx + a.y * dy)) / slope;
+            let m = Point::new(a.x + s * ex, a.y + s * ey);
+            if (0.0..=1.0).contains(&s) && m.dist(t_a) > best.0.dist(best.1) {
+                best = (m, t_a, true);
+            }
+        }
+    }
+    best
+}
+
+/// Where side `i` of `rect` ([`Rect::edges`] order: bottom, right, top,
+/// left) lies along that side's outward normal.
+fn side_offset(rect: &Rect, i: usize) -> f64 {
+    [-rect.min.y, rect.max.x, rect.max.y, -rect.min.x][i]
+}
+
+/// Theorem 2 (minimality) as a property. For every edge of `A_EXT`, a
+/// witness target sits straight out from the edge's binding point at the
+/// binding distance. It must tie with the filter that governs the binding
+/// point, and lie on that side of `A_EXT`: a side pushed out further would
+/// not be minimal, one pulled in would lose the witness. With 4 filters a
+/// corner's filter is its exact nearest target, so a witness there also
+/// ties with the exact NN of a user standing on that corner. Half the
+/// cases come from [`binding_middle_point`], so the middle point binds on
+/// a counted share of the edges.
+#[test]
+fn theorem_2_every_side_of_a_ext_is_tight() {
+    const EPS: f64 = 1e-9;
+    let (mut edges, mut middle) = (0u64, 0u64);
+    check(CASES, |rng| {
+        let (targets, reg) = if rng.gen_bool(0.5) {
+            let (targets, reg, _) = binding_middle_point(rng);
+            (targets, reg)
+        } else {
+            (points(rng, 1..60), region(rng))
+        };
+        let entries: Vec<Entry> = targets
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| Entry::point(ObjectId(i as u64), p))
+            .collect();
+        let idx = BruteForce::from_entries(entries.iter().copied());
+        let nearest = |p: Point| {
+            targets
+                .iter()
+                .map(|t| t.dist(p))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let corners = reg.corners();
+        for fc in FilterCount::ALL {
+            let vf = assign_filters_public(&idx, &reg, fc).expect("targets exist");
+            let a_ext = private_nn_public_data(&idx, &reg, fc).a_ext;
+            for (i, (side, _)) in reg.edges().into_iter().enumerate() {
+                let j = (i + 1) % 4;
+                let (f_i, f_j) = (vf.per_corner[i], vf.per_corner[j]);
+                let (t_i, t_j) = (f_i.mbr.min, f_j.mbr.min);
+                let (at, filter, is_middle) =
+                    binding_point(corners[i], corners[j], t_i, t_j, f_i.id == f_j.id);
+                let d = at.dist(filter);
+                let (nx, ny) = side.outward_normal();
+                let witness = at.translate(nx * d, ny * d);
+                edges += 1;
+                middle += u64::from(is_middle);
+                let governing = at.dist(t_i).min(at.dist(t_j));
+                assert!(
+                    (at.dist(witness) - governing).abs() < EPS,
+                    "{fc:?} {side:?}: witness at {} but the governing filter at {governing}",
+                    at.dist(witness)
+                );
+                if fc == FilterCount::Four && !is_middle {
+                    assert!(
+                        (at.dist(witness) - nearest(at)).abs() < EPS,
+                        "{fc:?} {side:?}: corner witness does not tie with the exact NN"
+                    );
+                }
+                let offset = nx * witness.x + ny * witness.y;
+                assert!(
+                    (side_offset(&a_ext, i) - offset).abs() < EPS
+                        && a_ext.expand_uniform(EPS).contains(witness),
+                    "{fc:?} {side:?}: the witness at {witness:?} is not on A_EXT's side \
+                     ({} vs {offset}; A_EXT {a_ext:?})",
+                    side_offset(&a_ext, i)
+                );
+            }
+        }
+    });
+    assert!(
+        middle * 4 >= edges,
+        "the middle point bound only {middle} of {edges} edges"
+    );
 }
 
 /// Theorem 2 (minimality): explicit constructions where shrinking any side

@@ -47,9 +47,9 @@ pub use http::{MetricsHttp, PageFn};
 pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, NUM_BUCKETS};
 pub use registry::Registry;
 pub use span::{
-    boot_salt, next_trace_id, now_ns, ContextGuard, FinishedTrace, SpanContext, SpanGuard,
-    SpanRecord, SpanStore, DEFAULT_FINISHED_CAP, DEFAULT_PENDING_CAP, DEFAULT_SAMPLE_RATE,
-    DEFAULT_SLOW_NS, DEFAULT_SPANS_PER_TRACE,
+    boot_salt, next_trace_id, now_ns, FinishedTrace, SpanContext, SpanGuard, SpanRecord, SpanStore,
+    DEFAULT_FINISHED_CAP, DEFAULT_PENDING_CAP, DEFAULT_SAMPLE_RATE, DEFAULT_SLOW_NS,
+    DEFAULT_SPANS_PER_TRACE,
 };
 
 use std::sync::OnceLock;

@@ -21,10 +21,9 @@
 //!   Deep layers (shard locks, the WAL, the candidate cache) open child
 //!   spans without any parameter plumbing.
 //! * **Across threads and processes** — an explicit [`SpanContext`]
-//!   value. Worker pools capture [`SpanStore::current`] before handing a
-//!   closure off and [`SpanStore::adopt`] it inside; the wire layer
-//!   stamps the context into the §8 frame so the server's spans parent
-//!   under the client's.
+//!   value. The wire layer stamps the context into the §8 frame, and the
+//!   thread that serves the frame opens a [`SpanStore::remote_root`]
+//!   under it, so the server's spans parent under the client's.
 //!
 //! # Sampling
 //!
@@ -142,8 +141,8 @@ fn thread_tid() -> u64 {
 }
 
 /// Propagatable span context: which trace we are in and which span is the
-/// current parent. Copy it across threads (worker pools) or stamp it into
-/// the wire frame (cross-process).
+/// current parent. Stamp it into the wire frame and open a
+/// [`SpanStore::remote_root`] under it where the frame is served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
     /// The trace this context belongs to.
@@ -234,7 +233,7 @@ const PENDING_SHARDS: usize = 8;
 
 thread_local! {
     /// The per-thread context stack. Entries are pushed by span guards
-    /// and explicit adoptions, popped on drop.
+    /// and popped on drop.
     static CONTEXT: RefCell<Vec<SpanContext>> = const { RefCell::new(Vec::new()) };
     /// Traces whose local root lives on this thread. Same-thread spans —
     /// the overwhelming majority — buffer here without touching a lock;
@@ -571,14 +570,6 @@ impl SpanStore {
         CONTEXT.with(|c| c.borrow().last().copied())
     }
 
-    /// Pushes an explicit context on the calling thread (worker threads
-    /// adopting the submitting thread's context). Popped when the
-    /// returned guard drops; no span is recorded.
-    pub fn adopt(&self, ctx: SpanContext) -> ContextGuard {
-        CONTEXT.with(|c| c.borrow_mut().push(ctx));
-        ContextGuard { armed: true }
-    }
-
     /// Records a span with explicit timestamps (for intervals measured
     /// before a worker thread had any context, e.g. queue sojourn).
     #[allow(clippy::too_many_arguments)]
@@ -628,8 +619,8 @@ impl SpanStore {
         if buffered {
             return;
         }
-        // Slow path: the emitting thread is not the trace's root thread
-        // (adopted context, manual backfill from a worker). Park the
+        // Slow path: the trace has no buffer on this thread (a flagged
+        // child of an unsampled root, a manual backfill). Park the
         // record in the shared table; the root thread merges it at trace
         // end. The entry is created on demand — the trace's own buffer
         // lives thread-locally, so absence here does not mean the trace
@@ -948,24 +939,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// RAII context adoption (see [`SpanStore::adopt`]): pops the pushed
-/// context on drop without recording a span.
-#[must_use = "dropping immediately would pop the context at once"]
-#[derive(Debug)]
-pub struct ContextGuard {
-    armed: bool,
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            CONTEXT.with(|c| {
-                c.borrow_mut().pop();
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,27 +1032,23 @@ mod tests {
     }
 
     #[test]
-    fn adoption_carries_context_across_threads() {
+    fn remote_root_carries_context_across_threads() {
         let store: &'static SpanStore = Box::leak(Box::new(SpanStore::new(1)));
-        let ctx = {
-            let root = store.root(9, "query");
-            root.context().unwrap()
-        };
-        // Trace 9 already ended; use a fresh one for the cross-thread leg.
         let root = store.root(10, "query");
-        let ctx10 = root.context().unwrap();
+        let ctx = root.context().unwrap();
         std::thread::spawn(move || {
-            let _adopted = store.adopt(ctx10);
+            let _served = store.remote_root(ctx, "server");
             let _child = store.child("worker");
         })
         .join()
         .unwrap();
         drop(root);
         let spans = store.trace(10);
-        assert_eq!(spans.len(), 2);
+        assert_eq!(spans.len(), 3);
+        let served = spans.iter().find(|s| s.name == "server").unwrap();
         let worker = spans.iter().find(|s| s.name == "worker").unwrap();
-        assert_eq!(worker.parent_id, ctx10.span_id);
-        assert_ne!(ctx.trace_id, 10);
+        assert_eq!(served.parent_id, ctx.span_id);
+        assert_eq!(worker.parent_id, served.span_id);
     }
 
     #[test]

@@ -150,8 +150,9 @@ fn chrome_export_stays_structurally_valid() {
 
 #[test]
 fn interleaved_threads_sharing_one_trace_stay_well_formed() {
-    // The cross-thread adoption path: one root, 8 workers each adopting
-    // the root context and emitting children concurrently.
+    // The cross-thread path the wire uses: one root, 8 workers each
+    // opening a remote root under its context and emitting children
+    // concurrently.
     let store: Arc<SpanStore> = Arc::new(SpanStore::new(1));
     let root = store.root(500, "query");
     let ctx = root.context().unwrap();
@@ -159,9 +160,9 @@ fn interleaved_threads_sharing_one_trace_stay_well_formed() {
         .map(|_| {
             let store = Arc::clone(&store);
             thread::spawn(move || {
-                let _adopted = store.adopt(ctx);
-                // 8 × 30 × 2 + 1 spans stays under the per-trace cap, so
-                // no parent record is ever dropped by overflow.
+                let _served = store.remote_root(ctx, "server");
+                // 8 × (30 × 2 + 1) + 1 spans stays under the per-trace
+                // cap, so no parent record is ever dropped by overflow.
                 for _ in 0..30 {
                     let _outer = store.child("outer");
                     let _inner = store.child("inner");
@@ -174,18 +175,15 @@ fn interleaved_threads_sharing_one_trace_stay_well_formed() {
     }
     drop(root);
     let spans = store.trace(500);
-    // 8 threads × 50 × 2 spans + root, minus any per-trace-cap overflow.
-    assert!(spans.len() > 100);
+    // 8 threads × (one remote root + 30 × 2 children) + the root.
+    assert_eq!(spans.len(), 8 * 61 + 1);
     let ids: std::collections::HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
     assert_eq!(ids.len(), spans.len(), "span ids unique across threads");
     for s in &spans {
         assert!(s.start_ns <= s.end_ns);
         if s.parent_id != 0 {
-            // The per-trace cap may have dropped a parent record; the
-            // surviving links must still point inside this trace's id
-            // space (the root or another recorded span).
             assert!(
-                s.parent_id == ctx.span_id || ids.contains(&s.parent_id),
+                ids.contains(&s.parent_id),
                 "dangling parent {}",
                 s.parent_id
             );
